@@ -78,7 +78,6 @@ from .theory import (
     lemma1_mc_check,
     quantization_noise_covariance_trace,
     theorem1_bound,
-    theorem3_exact_general,
     theorem3_exact_isotropic,
     theorem3_exact_series,
 )

@@ -31,7 +31,15 @@ __all__ = [
 
 
 class QuadraticObjective:
-    """F(x) = 0.5 x'Hx + A'x + B with symmetric positive-definite H."""
+    """F(x) = 0.5 x'Hx + A'x + B with symmetric positive-definite H.
+
+    H is held in the form the maths uses, its spectrum: H = Q diag(lambda) Q'
+    with basis Q, where a basis of None means H = diag(lambda).  An isotropic
+    objective stores only lambda, so its loss, gradient and optimum are O(d)
+    and it never allocates a d x d array (`H` is None).  A dense objective
+    keeps H for its products and finds its eigenbasis with one eigh, on the
+    first call to spectrum().
+    """
 
     def __init__(self, H: np.ndarray, A: np.ndarray | None = None, B: float = 0.0):
         H = np.asarray(H, dtype=np.float64)
@@ -39,22 +47,21 @@ class QuadraticObjective:
             raise ValueError("H must be a square matrix")
         if not np.allclose(H, H.T, rtol=1e-12, atol=1e-12):
             raise ValueError("H must be symmetric")
-        self.H = 0.5 * (H + H.T)
-        self.d = H.shape[0]
-        self.A = np.zeros(self.d) if A is None else np.asarray(A, dtype=np.float64)
-        if self.A.shape != (self.d,):
-            raise ValueError("A must be a length-d vector")
-        self.B = float(B)
+        self.H: np.ndarray | None = 0.5 * (H + H.T)
         eigvals = np.linalg.eigvalsh(self.H)
-        if eigvals[0] <= 0:
-            raise ValueError(f"H must be positive definite (min eigenvalue {eigvals[0]})")
-        self._mu = float(eigvals[0])
-        self._L = float(eigvals[-1])
-        self._x_star: np.ndarray | None = None
+        self._spectrum: tuple[np.ndarray, np.ndarray | None] | None = None
+        self._set_terms(H.shape[0], float(eigvals[0]), float(eigvals[-1]), A, B)
 
     @classmethod
     def isotropic(cls, d: int, lam: float, A: np.ndarray | None = None, B: float = 0.0):
-        return cls(lam * np.eye(d), A, B)
+        """H = lam * I, stored as its spectrum alone."""
+        if d < 1:
+            raise ValueError("dimension must be at least 1")
+        obj = cls.__new__(cls)
+        obj.H = None
+        obj._spectrum = (np.full(d, float(lam)), None)
+        obj._set_terms(d, float(lam), float(lam), A, B)
+        return obj
 
     @classmethod
     def random_pd(cls, d: int, mu: float, L: float, rng: np.random.Generator):
@@ -65,12 +72,34 @@ class QuadraticObjective:
         spectrum = np.linspace(mu, L, d)
         return cls((q * spectrum) @ q.T)
 
+    def _set_terms(self, d: int, mu: float, L: float, A, B: float) -> None:
+        if mu <= 0:
+            raise ValueError(f"H must be positive definite (min eigenvalue {mu})")
+        self.d = d
+        self.A = np.zeros(d) if A is None else np.asarray(A, dtype=np.float64)
+        if self.A.shape != (d,):
+            raise ValueError("A must be a length-d vector")
+        self.B = float(B)
+        self._mu = mu
+        self._L = L
+        self._x_star: np.ndarray | None = None
+
+    def spectrum(self) -> tuple[np.ndarray, np.ndarray | None]:
+        """(eigenvalues, basis) of H; basis None means H = diag(eigenvalues)."""
+        if self._spectrum is None:
+            self._spectrum = np.linalg.eigh(self.H)
+        return self._spectrum
+
     def loss(self, x: np.ndarray) -> float:
         x = self._check(x)
+        if self.H is None:
+            return float(0.5 * (self._spectrum[0] * x) @ x + self.A @ x + self.B)
         return float(0.5 * x @ self.H @ x + self.A @ x + self.B)
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
         x = self._check(x)
+        if self.H is None:
+            return self._spectrum[0] * x + self.A
         return self.H @ x + self.A
 
     def constants(self) -> tuple[float, float]:
@@ -78,7 +107,10 @@ class QuadraticObjective:
 
     def optimum(self) -> np.ndarray:
         if self._x_star is None:
-            self._x_star = np.linalg.solve(self.H, -self.A)
+            if self.H is None:
+                self._x_star = -self.A / self._spectrum[0]
+            else:
+                self._x_star = np.linalg.solve(self.H, -self.A)
         return self._x_star
 
     def optimal_value(self) -> float:
@@ -120,6 +152,7 @@ class LogisticObjective:
         self._L = op * op / (4.0 * self.n) + self.ridge
         self._mu = self.ridge
         self._x_star: np.ndarray | None = None
+        self._f_star: float | None = None
 
     def loss(self, x: np.ndarray) -> float:
         return self.loss_on(slice(None), x)
@@ -156,7 +189,9 @@ class LogisticObjective:
         return self._x_star
 
     def optimal_value(self) -> float:
-        return self.loss(self.optimum())
+        if self._f_star is None:
+            self._f_star = self.loss(self.optimum())
+        return self._f_star
 
     def _check(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
@@ -245,12 +280,18 @@ class GradientOracle:
         return self.objective.gradient(x)
 
     def sample(
-        self, worker: int, x: np.ndarray, rng: np.random.Generator
+        self,
+        worker: int,
+        x: np.ndarray,
+        rng: np.random.Generator,
+        exact: np.ndarray | None = None,
     ) -> GradientVector:
+        """One draw for `worker` at x.  `exact`, if given, is the exact
+        gradient at x, which the Gaussian model then does not recompute."""
         if not 0 <= worker < self.W:
             raise ValueError(f"worker index {worker} out of range [0, {self.W})")
         if self.noise == "gaussian":
-            g = self.objective.gradient(x)
+            g = self.objective.gradient(x) if exact is None else exact
             if self.sigma > 0:
                 g = g + rng.normal(0.0, self.sigma / np.sqrt(self.d), size=self.d)
         else:
@@ -275,7 +316,7 @@ class GradientOracle:
         for i in range(self.W):
             total = 0.0
             for _ in range(draws):
-                g = self.sample(i, x, rng)
+                g = self.sample(i, x, rng, ref)
                 diff = g.values - ref
                 total += float(diff @ diff)
             per_worker.append(total / draws)

@@ -185,7 +185,7 @@ class RunConfig:
 @functools.lru_cache(maxsize=64)
 def build_objective(spec: ObjectiveSpec):
     """Objective instance for a spec; cached so per-seed runs share the
-    (potentially expensive) dataset, spectrum, and optimum computations."""
+    (potentially expensive) dataset, eigenbasis, and optimum computations."""
     if spec.kind == "quadratic-isotropic":
         return QuadraticObjective.isotropic(spec.d, spec.lam)
     if spec.kind == "quadratic":
@@ -366,14 +366,15 @@ def run(config: RunConfig, _worker_order=None) -> RunTrace:
                 f"loss {f_t} at iteration {t} tripped the divergence guard",
                 partial_trace(True, f_t),
             )
-        grad_norm = float(np.linalg.norm(obj.gradient(x)))
+        exact = obj.gradient(x)
+        grad_norm = float(np.linalg.norm(exact))
 
         frames = []
         for i in order:
             # one stream per (worker, iteration); gradient sampling draws
             # first, then the stochastic-rounding draws
             stream = worker_stream(seed, i, t)
-            g = oracle.sample(i, x, stream)
+            g = oracle.sample(i, x, stream, exact)
             if b == 1:
                 q = sign_quantize(g, b_pre=config.b_pre)
             else:
@@ -482,9 +483,15 @@ def theory_report_for(trace: RunTrace) -> theory.TheoryReport:
                     for g, bb in zip(trace.gbar, trace.bits)
                 ]
             )
-            x0 = initial_point(config, obj.d)
+            eigvals, basis = obj.spectrum()
             exact_series = theory.theorem3_exact_series(
-                obj.H, obj.A, x0, traces / obj.d, config.eta, trace.t.size
+                eigvals,
+                basis,
+                initial_point(config, obj.d),
+                obj.optimum(),
+                traces / obj.d,
+                config.eta,
+                trace.t.size,
             )
     if contractive:
         T = trace.t.size

@@ -25,7 +25,6 @@ __all__ = [
     "Lemma1Report",
     "theorem1_bound",
     "theorem1_bound_from_noise",
-    "theorem3_exact_general",
     "theorem3_exact_isotropic",
     "theorem3_exact_series",
     "quantization_noise_covariance_trace",
@@ -107,29 +106,32 @@ def theorem1_bound(
 
 
 def _covariance_diagonals(sigma_seq, T: int, d: int, basis: np.ndarray | None):
-    """Per-step covariance diagonals in the Hessian eigenbasis.
+    """Per-step covariance diagonals in the Hessian eigenbasis (basis None:
+    the standard basis).
 
-    sigma_seq may be a length-T array of scalars c_t (meaning c_t * I) or a
-    (T, d, d) stack of PSD matrices.
+    sigma_seq may be a length-T array of scalars c_t (meaning c_t * I), whose
+    diagonals come back as a (T, 1) column that broadcasts over the d
+    directions, or a (T, d, d) stack of PSD matrices.
     """
     arr = np.asarray(sigma_seq, dtype=np.float64)
     if arr.ndim == 1:
         if arr.size != T:
             raise ValueError(f"need {T} covariance entries, got {arr.size}")
-        return np.repeat(arr[:, None], d, axis=1)
+        return arr[:, None]
     if arr.shape != (T, d, d):
         raise ValueError(f"covariances must have shape ({T}, {d}, {d}) or ({T},)")
     if basis is None:
-        raise ValueError("matrix covariances need the eigenbasis")
+        return np.einsum("tii->ti", arr)
     # diag(Q' Sigma Q) for each step without forming the full products
     rotated = np.einsum("ij,tjk,ki->ti", basis.T, arr, basis)
     return rotated
 
 
 def theorem3_exact_series(
-    H: np.ndarray,
-    A: np.ndarray,
+    eigvals: np.ndarray,
+    basis: np.ndarray | None,
     x0: np.ndarray,
+    x_star: np.ndarray,
     sigma_seq,
     eta: float,
     T: int,
@@ -138,31 +140,31 @@ def theorem3_exact_series(
     x_{t+1} = x_t - eta * (Hx_t + A) - eta * eps_t with eps_t ~ N(0, Sigma_t),
     at every horizon u = 0..T.
 
-    With rho = I - eta H,
+    H is given by its spectrum, H = Q diag(eigvals) Q' with Q = basis (None
+    meaning the identity), as QuadraticObjective.spectrum() returns it;
+    x_star = -H^{-1} A is the minimizer.  With rho = I - eta H,
 
         E[u] = 0.5 (x0-x*)' rho^u H rho^u (x0-x*)
              + (eta^2/2) sum_{t<u} Tr[rho^(u-1-t) Sigma_t H rho^(u-1-t)].
 
-    Computed in the eigenbasis of H, where both terms reduce to scalar
-    geometric recursions per eigendirection.
+    In the eigenbasis both terms reduce to scalar geometric recursions per
+    eigendirection, so the cost is O(T d) beyond rotating x0 - x* once.
     """
-    H = np.asarray(H, dtype=np.float64)
-    d = H.shape[0]
-    A = np.zeros(d) if A is None else np.asarray(A, dtype=np.float64)
+    eigvals = np.asarray(eigvals, dtype=np.float64)
+    d = eigvals.size
     x0 = np.asarray(x0, dtype=np.float64)
-    if H.shape != (d, d) or A.shape != (d,) or x0.shape != (d,):
-        raise ValueError("dimension mismatch between H, A, and x0")
-    if not np.allclose(H, H.T, rtol=1e-12, atol=1e-12):
-        raise ValueError("H must be symmetric")
-    eigvals, Q = np.linalg.eigh(0.5 * (H + H.T))
-    if eigvals[0] <= 0:
+    x_star = np.asarray(x_star, dtype=np.float64)
+    if eigvals.shape != (d,) or x0.shape != (d,) or x_star.shape != (d,):
+        raise ValueError("dimension mismatch between the spectrum, x0, and x*")
+    if basis is not None and basis.shape != (d, d):
+        raise ValueError("dimension mismatch between the spectrum and its basis")
+    if eigvals.min() <= 0:
         raise ValueError("H must be positive definite")
-    diag = _covariance_diagonals(sigma_seq, T, d, Q)
+    diag = _covariance_diagonals(sigma_seq, T, d, basis)
     if np.any(diag < -1e-12):
         raise ValueError("covariances must be positive semidefinite")
 
-    x_star = np.linalg.solve(H, -A)
-    z = Q.T @ (x0 - x_star)
+    z = x0 - x_star if basis is None else basis.T @ (x0 - x_star)
     r2 = (1.0 - eta * eigvals) ** 2
 
     series = np.empty(T + 1)
@@ -174,18 +176,6 @@ def theorem3_exact_series(
         det = r2 * det
         series[t + 1] = 0.5 * float(np.sum(det)) + 0.5 * eta**2 * float(np.sum(noise))
     return series
-
-
-def theorem3_exact_general(
-    H: np.ndarray,
-    A: np.ndarray,
-    x0: np.ndarray,
-    sigma_seq,
-    eta: float,
-    T: int,
-) -> float:
-    """Exact expected suboptimality at horizon T (see theorem3_exact_series)."""
-    return float(theorem3_exact_series(H, A, x0, sigma_seq, eta, T)[-1])
 
 
 def theorem3_exact_isotropic(

@@ -119,11 +119,14 @@ def verify_theorem3(
         ]
     )
     x0 = np.ones(d)
-    H = lam * np.eye(d)
+    # the general path: a dense H and the eigenbasis its eigh finds
+    dense = QuadraticObjective(lam * np.eye(d))
     f0 = 0.5 * lam * float(x0 @ x0)
 
     exact_iso = theorem3_exact_isotropic(lam, f0, traces, eta)
-    exact_gen = theorem3_exact_series(H, np.zeros(d), x0, traces / d, eta, T)
+    exact_gen = theorem3_exact_series(
+        *dense.spectrum(), x0, dense.optimum(), traces / d, eta, T
+    )
     rel = float(np.max(np.abs(exact_gen - exact_iso) / np.abs(exact_iso)))
     result.record("general path matches isotropic path", rel <= 1e-12, f"rel={rel:.2e}")
 

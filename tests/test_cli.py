@@ -97,6 +97,21 @@ def test_all_errors_collected_not_fail_fast():
     assert len(err.value.errors) >= 4
 
 
+def test_dense_quadratic_too_big_for_memory_rejected_with_line():
+    with pytest.raises(ConfigError) as err:
+        parse_config("[objective]\nkind = quadratic\nd = 5001\n")
+    (msg,) = err.value.errors
+    assert "line 3" in msg and "at most 5000" in msg and "GiB" in msg
+    assert parse_config("[objective]\nkind = quadratic\nd = 5000\n").run.objective.d == 5000
+
+
+def test_isotropic_quadratic_accepted_up_to_a_million():
+    spec = parse_config("[objective]\nkind = quadratic-isotropic\nd = 1000000\n")
+    assert spec.run.objective.d == 10**6
+    with pytest.raises(ConfigError):
+        parse_config("[objective]\nd = 1000001\n")
+
+
 def test_unknown_key_and_section():
     with pytest.raises(ConfigError) as err:
         parse_config("[objective]\nwat = 1\n")

@@ -243,3 +243,89 @@ def test_oracle_error_cases():
         oracle.sample(2, np.zeros(2), np.random.default_rng(0))
     with pytest.raises(ValueError):
         GradientOracle(obj, workers=2, noise="bogus")
+
+
+# ---------------------------------------------------------------------------
+# spectral storage: an isotropic objective against its dense twin
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "d, lam, with_A, B",
+    [(1, 1.0, False, 0.0), (4, 0.7, True, 0.0), (50, 1.3, True, -2.5), (300, 0.123, True, 4.0)],
+)
+def test_isotropic_matches_dense_bit_for_bit(d, lam, with_A, B):
+    rng = np.random.default_rng(d)
+    A = rng.standard_normal(d) if with_A else None
+    iso = QuadraticObjective.isotropic(d, lam, A, B)
+    dense = QuadraticObjective(lam * np.eye(d), A, B)
+    assert iso.H is None
+    for x in (rng.standard_normal(d), np.ones(d), np.zeros(d)):
+        assert iso.loss(x) == dense.loss(x)
+        assert np.array_equal(iso.gradient(x), dense.gradient(x))
+    assert np.array_equal(iso.optimum(), dense.optimum())
+    assert iso.optimal_value() == dense.optimal_value()
+    assert iso.constants() == dense.constants()
+
+
+def test_isotropic_spectrum_has_no_basis():
+    eigvals, basis = QuadraticObjective.isotropic(5, 0.7).spectrum()
+    assert basis is None
+    assert np.array_equal(eigvals, np.full(5, 0.7))
+    with pytest.raises(ValueError):
+        QuadraticObjective.isotropic(3, 0.0)
+
+
+def test_dense_spectrum_is_one_cached_eigh(monkeypatch):
+    obj = QuadraticObjective.random_pd(6, 0.5, 3.0, np.random.default_rng(17))
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda H: calls.append(H) or eigh(H))
+    first = obj.spectrum()
+    assert obj.spectrum() is first
+    assert len(calls) == 1
+    eigvals, basis = first
+    assert np.allclose((basis * eigvals) @ basis.T, obj.H, rtol=0.0, atol=1e-12)
+
+
+def test_logistic_optimal_value_evaluated_once(monkeypatch):
+    X, y = make_dataset(40, 3, seed=18)
+    obj = LogisticObjective(X, y, ridge=0.1)
+    x_star = obj.optimum()
+    f_star = obj.loss(x_star)
+    points = []
+    loss = obj.loss
+    monkeypatch.setattr(obj, "loss", lambda x: points.append(x) or loss(x), raising=False)
+    assert obj.optimal_value() == f_star
+    assert obj.optimal_value() == f_star
+    assert len(points) == 1 and points[0] is x_star
+
+
+def test_run_on_spectral_and_dense_isotropic_objectives_is_identical(monkeypatch):
+    from dqsim import sim
+
+    d, lam = 20, 0.7
+    for schedule in (
+        sim.ScheduleSpec(kind="dynamic", tau=10),
+        sim.ScheduleSpec(kind="fixed", bits=5),
+    ):
+        config = sim.RunConfig(
+            objective=sim.ObjectiveSpec(kind="quadratic-isotropic", d=d, lam=lam),
+            oracle=sim.OracleSpec(kind="gaussian", sigma=0.5),
+            schedule=schedule,
+            W=4,
+            T=60,
+            eta=0.1,
+            x0="gaussian",
+            seed=5,
+        )
+        assert sim.build_objective(config.objective).H is None
+        spectral = sim.run(config)
+        dense = QuadraticObjective(lam * np.eye(d))
+        with monkeypatch.context() as m:
+            m.setattr(sim, "build_objective", lambda spec: dense)
+            other = sim.run(config)
+        for name in sim._COMPARED_FIELDS:
+            assert np.array_equal(getattr(spectral, name), getattr(other, name)), name
+        assert np.array_equal(spectral.x_final, other.x_final)
+        assert spectral.final_loss == other.final_loss

@@ -322,3 +322,13 @@ def test_measured_sigma_recorded_for_minibatch():
     assert trace.measured_sigma == max(trace.sigma_per_worker)
     again = replay(trace)
     assert again.measured_sigma == trace.measured_sigma
+
+
+def test_exact_gradient_computed_once_per_round(monkeypatch):
+    config = quad_config(oracle=OracleSpec(kind="gaussian", sigma=0.3), W=4, T=10)
+    obj = build_objective(config.objective)
+    calls = []
+    gradient = obj.gradient
+    monkeypatch.setattr(obj, "gradient", lambda x: calls.append(x) or gradient(x), raising=False)
+    run(config)
+    assert len(calls) == config.T

@@ -1,11 +1,14 @@
 """Closed-form oracles: bound series, exact quadratic error, cost bounds."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+from dqsim import sim
+from dqsim.objective import QuadraticObjective
 from dqsim.quant import GradientVector
 from dqsim.theory import (
     am_alpha,
@@ -16,7 +19,6 @@ from dqsim.theory import (
     quantization_noise_covariance_trace,
     theorem1_bound,
     theorem1_bound_from_noise,
-    theorem3_exact_general,
     theorem3_exact_isotropic,
     theorem3_exact_series,
 )
@@ -101,7 +103,8 @@ def test_noiseless_exact_error_equals_direct_iteration():
     H = (q * np.linspace(0.5, 3.0, d)) @ q.T
     A = rng.standard_normal(d)
     x0 = rng.standard_normal(d)
-    series = theorem3_exact_series(H, A, x0, np.zeros(T), eta, T)
+    obj = QuadraticObjective(H, A)
+    series = theorem3_exact_series(*obj.spectrum(), x0, obj.optimum(), np.zeros(T), eta, T)
     x_star = np.linalg.solve(H, -A)
 
     def f(x):
@@ -120,11 +123,10 @@ def test_isotropic_form_matches_general_path():
     x0 = rng.standard_normal(d)
     gap0 = 0.5 * lam * float(x0 @ x0)
     iso = theorem3_exact_isotropic(lam, gap0, traces, eta)
-    gen = theorem3_exact_series(lam * np.eye(d), np.zeros(d), x0, traces / d, eta, T)
+    dense = QuadraticObjective(lam * np.eye(d))
+    gen = theorem3_exact_series(*dense.spectrum(), x0, dense.optimum(), traces / d, eta, T)
     assert np.allclose(gen, iso, rtol=1e-12)
-    assert theorem3_exact_general(
-        lam * np.eye(d), np.zeros(d), x0, traces / d, eta, T
-    ) == pytest.approx(iso[-1], rel=1e-12)
+    assert gen[-1] == pytest.approx(iso[-1], rel=1e-12)
 
 
 def test_exact_error_against_monte_carlo():
@@ -148,7 +150,8 @@ def test_matrix_covariances_accepted():
     d, T, eta = 3, 20, 0.1
     H = np.diag([1.0, 2.0, 3.0])
     sig = np.stack([np.diag(rng.uniform(0.01, 0.2, size=d)) for _ in range(T)])
-    series = theorem3_exact_series(H, np.zeros(d), np.ones(d), sig, eta, T)
+    obj = QuadraticObjective(H)
+    series = theorem3_exact_series(*obj.spectrum(), np.ones(d), obj.optimum(), sig, eta, T)
     # diagonal covariances in a diagonal basis reduce to d scalar recursions
     manual = np.zeros(T + 1)
     lams = np.diag(H)
@@ -163,15 +166,85 @@ def test_matrix_covariances_accepted():
             acc_det = r2 * acc_det
             manual[t + 1] += 0.5 * acc_det + 0.5 * eta**2 * acc_noise
     assert np.allclose(series, manual, rtol=1e-12)
+    # the same H stored as a bare spectrum, whose basis is the standard one
+    bare = theorem3_exact_series(lams, None, np.ones(d), np.zeros(d), sig, eta, T)
+    assert np.allclose(bare, manual, rtol=1e-12)
 
 
 def test_exact_series_input_validation():
+    eigvals, basis = QuadraticObjective(np.eye(2)).spectrum()
     with pytest.raises(ValueError):
-        theorem3_exact_series(np.eye(2), np.zeros(3), np.zeros(2), np.zeros(5), 0.1, 5)
+        theorem3_exact_series(eigvals, basis, np.zeros(2), np.zeros(3), np.zeros(5), 0.1, 5)
     with pytest.raises(ValueError):
-        theorem3_exact_series(-np.eye(2), np.zeros(2), np.zeros(2), np.zeros(5), 0.1, 5)
+        theorem3_exact_series(-eigvals, basis, np.zeros(2), np.zeros(2), np.zeros(5), 0.1, 5)
     with pytest.raises(ValueError):
-        theorem3_exact_series(np.eye(2), np.zeros(2), np.zeros(2), np.zeros(4), 0.1, 5)
+        theorem3_exact_series(eigvals, basis, np.zeros(2), np.zeros(2), np.zeros(4), 0.1, 5)
+
+
+def _report_config(objective, **kwargs):
+    defaults = dict(
+        objective=objective,
+        oracle=sim.OracleSpec(kind="gaussian", sigma=0.4),
+        schedule=sim.ScheduleSpec(kind="dynamic", tau=10, alpha_source="closed_form"),
+        W=3,
+        T=40,
+        eta=0.1,
+        x0="gaussian",
+        seed=2,
+    )
+    defaults.update(kwargs)
+    return sim.RunConfig(**defaults)
+
+
+def test_report_exact_series_isotropic_equals_dense_bit_for_bit(monkeypatch):
+    for d, lam, x0 in ((1, 1.0, "ones"), (4, 1.0, "gaussian"), (50, 0.7, "gaussian")):
+        trace = sim.run(_report_config(sim.ObjectiveSpec(d=d, lam=lam), x0=x0))
+        spectral = sim.theory_report_for(trace).theorem3_exact_series
+        dense = QuadraticObjective(lam * np.eye(d))
+        with monkeypatch.context() as m:
+            m.setattr(sim, "build_objective", lambda spec: dense)
+            from_dense = sim.theory_report_for(trace).theorem3_exact_series
+        assert np.array_equal(spectral, from_dense)
+
+
+def test_report_exact_series_random_pd_matches_dense_recursion():
+    d, eta, sigma, W = 12, 0.1, 0.4, 3
+    config = _report_config(sim.ObjectiveSpec(kind="quadratic", d=d, mu=0.5, L=3.0))
+    trace = sim.run(config)
+    series = sim.theory_report_for(trace).theorem3_exact_series
+    H = sim.build_objective(config.objective).H
+    # E[u] straight from the definition with dense matrices, no eigenbasis:
+    # e_u = rho^u e_0 and M_u = sum_{t<u} c_t rho^(2(u-1-t)) = rho M_{u-1} rho + c_{u-1} I
+    c = [
+        quantization_noise_covariance_trace(sigma, W, d, float(g), int(b)) / d
+        for g, b in zip(trace.gbar, trace.bits)
+    ]
+    rho = np.eye(d) - eta * H
+    e = sim.initial_point(config, d)  # x* = 0 since A = 0
+    M = np.zeros((d, d))
+    want = [0.5 * e @ H @ e]
+    for c_t in c:
+        e = rho @ e
+        M = rho @ M @ rho + c_t * np.eye(d)
+        want.append(0.5 * e @ H @ e + 0.5 * eta**2 * np.trace(M @ H))
+    assert np.allclose(series, want, rtol=1e-12, atol=0.0)
+
+
+def test_large_isotropic_run_and_report_stay_linear_in_d():
+    d = 200_000
+    config = _report_config(sim.ObjectiveSpec(d=d), W=2, T=3, x0="ones")
+    tracemalloc.start()
+    try:
+        trace = sim.run(config)
+        report = sim.theory_report_for(trace)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.theorem3_exact_series.shape == (4,)
+    assert np.allclose(report.theorem1_bound_series, report.theorem3_exact_series, rtol=1e-9)
+    # a d x d float64 array would take 320 GB; the run holds a few dozen
+    # length-d vectors at most
+    assert peak < 100 * 8 * d
 
 
 # ---------------------------------------------------------------------------

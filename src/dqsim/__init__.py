@@ -13,16 +13,13 @@ from .objective import (
     GradientOracle,
     LogisticObjective,
     QuadraticObjective,
-    constants,
-    full_gradient,
-    loss,
     make_dataset,
-    sample_gradient,
 )
 from .quant import (
     CorruptionError,
     FramingError,
     GradientVector,
+    QuantizedBatch,
     QuantizedGradient,
     QuantizerConfig,
     VarianceBudget,
@@ -51,7 +48,6 @@ from .schedule import (
     continuous_bits,
     dq_bits,
     fixed_bits_for_budget,
-    quantization_budget,
 )
 from .sim import (
     DivergenceError,

@@ -261,6 +261,13 @@ _SCHEMA = {
 # quadratics are O(d) and keep the general d <= 10**6.
 DENSE_QUADRATIC_MAX_D = 5000
 
+# A logistic objective holds its dense n x d design and, while finding its
+# smoothness constant, an SVD copy of it: building one peaks at about 16.5
+# bytes per entry over the imports (measured: 157 MiB at n*d = 5e6, 395 MiB
+# at n*d = 2.05e7, with 77 MiB of imports), so n*d is capped where that
+# reaches about 1 GiB.
+LOGISTIC_MAX_ND = 6 * 10**7
+
 _FLOAT_KEYS = {
     ("objective", "lam"),
     ("objective", "mu"),
@@ -331,6 +338,14 @@ def parse_config(text: str) -> ExperimentSpec:
             f"line {first_line[('objective', 'd')]}: [objective] d: must be at most "
             f"{DENSE_QUADRATIC_MAX_D} with kind = quadratic, got {d}: a dense quadratic "
             f"needs about 42 * d**2 bytes, 1 GiB at d = {DENSE_QUADRATIC_MAX_D}"
+        )
+    n = values.get(("objective", "n"), ObjectiveSpec.n)
+    if kind == "logistic" and n * d > LOGISTIC_MAX_ND:
+        line = max(first_line.get(("objective", key), 0) for key in ("n", "d"))
+        errors.append(
+            f"line {line}: [objective] n * d: must be at most {LOGISTIC_MAX_ND} with "
+            f"kind = logistic, got {n} * {d} = {n * d}: the dataset and its SVD need "
+            f"about 16.5 * n * d bytes, 1 GiB at the limit"
         )
 
     if errors:

@@ -7,14 +7,19 @@ so that dequantization is unbiased.  A separate 1-bit-per-coordinate sign
 codec with mean-absolute-value scaling is provided as the aggressive
 baseline.
 
-All randomness comes from caller-supplied numpy Generators, so every
-operation here is pure and safe to run concurrently with distinct streams.
+Every codec operation also takes a round's W frames at once, as (W, d)
+arrays in a QuantizedBatch; a single frame is the batch of one, with the same
+arithmetic and the same bytes on the wire.
+
+All randomness comes from caller-supplied numpy Generators (or, for a batch,
+rounding uniforms the caller drew from them), so every operation here is pure
+and safe to run concurrently with distinct streams.
 """
 
 from __future__ import annotations
 
 import math
-import struct
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,6 +28,7 @@ __all__ = [
     "GradientVector",
     "QuantizerConfig",
     "QuantizedGradient",
+    "QuantizedBatch",
     "VarianceBudget",
     "FramingError",
     "CorruptionError",
@@ -115,6 +121,11 @@ class QuantizerConfig:
         return (1 << (self.bits - 1)) - 1
 
 
+def _level_count(bits: int) -> int:
+    # s = 2**(bits-1) - 1 for the uniform codec; the sign codec's levels are all 1
+    return 1 if bits == 1 else (1 << (bits - 1)) - 1
+
+
 @dataclass(eq=False)
 class QuantizedGradient:
     """The wire unit: a norm scalar plus per-coordinate sign and level index.
@@ -169,14 +180,67 @@ class QuantizedGradient:
     @property
     def level_count(self) -> int:
         """Grid size s used by the dequantization formula (1 for sign codec)."""
-        if self.bits == 1:
-            return 1
-        return (1 << (self.bits - 1)) - 1
+        return _level_count(self.bits)
 
     @property
     def encoded_bits(self) -> int:
         """Exact payload size in bits before byte padding: d*bits + b_pre."""
         return self.d * self.bits + self.b_pre
+
+    def as_batch(self) -> "QuantizedBatch":
+        """This frame as a batch of one; the arrays are views, not copies."""
+        return QuantizedBatch(
+            np.array([self.norm]), self.signs[None], self.levels[None], self.bits, self.b_pre
+        )
+
+
+@dataclass(eq=False)
+class QuantizedBatch:
+    """W frames of one width as arrays, row i being frame i.
+
+    norms is a (W,) float64 array of wire-precision norms; signs (int8, each
+    +1 or -1) and levels (uint32, each in [0, s]) are (W, d).  Row i
+    dequantizes by the QuantizedGradient formula.  Nothing is validated here:
+    quantize, sign_quantize and decode build well-formed batches, stack checks
+    that its frames agree, and encode rejects a level above s.
+    """
+
+    norms: np.ndarray
+    signs: np.ndarray
+    levels: np.ndarray
+    bits: int
+    b_pre: int = 32
+
+    @classmethod
+    def stack(cls, frames: Sequence[QuantizedGradient]) -> "QuantizedBatch":
+        """The batch of frames that share d, bits and b_pre, in the given order."""
+        if not frames:
+            raise ValueError("no frames to stack")
+        first = frames[0]
+        if any((q.d, q.bits, q.b_pre) != (first.d, first.bits, first.b_pre) for q in frames):
+            raise ValueError("frames differ in dimension, bits or b_pre")
+        return cls(
+            np.array([q.norm for q in frames], dtype=np.float64),
+            np.stack([q.signs for q in frames]),
+            np.stack([q.levels for q in frames]),
+            first.bits,
+            first.b_pre,
+        )
+
+    @property
+    def level_count(self) -> int:
+        return _level_count(self.bits)
+
+    def frame(self, i: int) -> QuantizedGradient:
+        """Frame i; its arrays are views into the batch."""
+        return QuantizedGradient._trusted(
+            float(self.norms[i]), self.signs[i], self.levels[i], self.bits, self.b_pre
+        )
+
+    def dequantized(self) -> np.ndarray:
+        """(W, d) array of norm_i * sign_ij * level_ij / s."""
+        scaled_signs = self.norms[:, None] * self.signs.astype(np.float64)
+        return scaled_signs * self.levels / self.level_count
 
 
 @dataclass(frozen=True)
@@ -214,57 +278,91 @@ class VarianceBudget:
         return self.sampling_term + self.quantization_term
 
 
-def _wire_norm(value: float, b_pre: int) -> float:
+def _wire_norms(norms: np.ndarray, b_pre: int) -> np.ndarray:
     # The transmitted norm only has b_pre bits; rounding here (rather than in
     # encode) keeps the in-memory object identical to its wire round-trip.
     if b_pre == 32:
-        return float(np.float32(value))
-    return float(value)
+        return norms.astype(np.float32).astype(np.float64)
+    return norms
 
 
-def _prepare(g: GradientVector, cfg: QuantizerConfig):
-    """Shared setup for single and batched quantization draws.
+def _rows(g: GradientVector | Sequence[GradientVector]):
+    """(gradients, their values as a (W, d) array); one vector is W = 1."""
+    if isinstance(g, GradientVector):
+        gs, values = [g], g.values[None]
+    else:
+        gs = list(g)
+        if not gs:
+            raise ValueError("no gradients to quantize")
+        values = np.stack([v.values for v in gs])
+    if not np.isfinite(values).all():
+        raise ValueError("gradient has a non-finite coordinate")
+    return gs, values
 
-    Returns (norm, signs, low, frac) where low + Bernoulli(frac) is the level.
+
+def _signs(values: np.ndarray) -> np.ndarray:
+    # sign of an exact zero is fixed to +1; the level there is 0 anyway
+    return 1 - 2 * (values < 0).view(np.int8)
+
+
+def _prepare(gs: list[GradientVector], values: np.ndarray, cfg: QuantizerConfig):
+    """Shared setup for quantize and dequantized_draws over (W, d) values.
+
+    Returns (norms, signs, low, frac) where low + Bernoulli(frac) is the
+    level.  Row i's norm is gradient i's own 1-D norm, so it is the same
+    number whether the row is quantized alone or in a batch.
     """
     s = cfg.levels
-    values = g.values
-    if not np.all(np.isfinite(values)):
-        raise ValueError("gradient has a non-finite coordinate")
-    # sign of an exact zero is fixed to +1; the level there is 0 anyway
-    signs = np.where(values < 0, -1, 1).astype(np.int8)
-    norm = g.cached_norm if g.p == cfg.p else lp_norm(values, cfg.p)
-    norm = _wire_norm(norm, cfg.b_pre)
-    if not math.isfinite(norm):
+    norms = np.array(
+        [v.cached_norm if v.p == cfg.p else lp_norm(v.values, cfg.p) for v in gs]
+    )
+    norms = _wire_norms(norms, cfg.b_pre)
+    if not np.isfinite(norms).all():
         raise ValueError("gradient norm overflows the wire precision")
-    if norm == 0.0:
-        zeros = np.zeros(values.size)
-        return norm, signs, zeros, zeros
+    zero = norms == 0.0
     # multiply by s before dividing so ratios that sit exactly on a grid
     # point stay exact and round deterministically (frac == 0)
-    scaled = (s * np.abs(values)) / norm
+    scaled = np.abs(values) * s
+    scaled /= np.where(zero, 1.0, norms)[:, None]
     np.clip(scaled, 0.0, float(s), out=scaled)
+    # a zero-norm row gets levels 0 without its ratio being used
+    scaled[zero] = 0.0
     low = np.floor(scaled)
     frac = scaled - low
-    return norm, signs, low, frac
+    return norms, _signs(values), low, frac
 
 
 def quantize(
-    g: GradientVector, cfg: QuantizerConfig, rng: np.random.Generator
-) -> QuantizedGradient:
+    g: GradientVector | Sequence[GradientVector],
+    cfg: QuantizerConfig,
+    rng: np.random.Generator | np.ndarray,
+) -> QuantizedGradient | QuantizedBatch:
     """Stochastically quantize g onto the uniform grid scaled by its norm.
 
     A coordinate whose magnitude ratio lies in [l/s, (l+1)/s) maps to level
     l+1 with probability s*|g_j|/norm - l and to l otherwise, which makes
-    dequantization unbiased.  A zero-norm input short-circuits to all-zero
-    levels without evaluating the ratio.
+    dequantization unbiased.  A zero-norm input gets all-zero levels.
+
+    g is one GradientVector, quantized to a QuantizedGradient with d
+    uniforms drawn from the Generator rng, or a sequence of W of them,
+    quantized to a QuantizedBatch.  For a batch rng is either a Generator or
+    the (W, d) array of rounding uniforms, row i for gradient i; a row drawn
+    with Generator.random(out=row) holds the same doubles that quantizing
+    gradient i alone would draw.
     """
     if cfg.is_sign_only:
         raise ValueError("sign-only config: use sign_quantize")
-    norm, signs, low, frac = _prepare(g, cfg)
-    u = rng.random(g.d)
+    gs, values = _rows(g)
+    norms, signs, low, frac = _prepare(gs, values, cfg)
+    if isinstance(rng, np.random.Generator):
+        u = rng.random(values.shape)
+    else:
+        u = np.asarray(rng)
+        if u.shape != values.shape:
+            raise ValueError(f"expected {values.shape} rounding uniforms, got {u.shape}")
     levels = (low + (u < frac)).astype(np.uint32)
-    return QuantizedGradient._trusted(norm, signs, levels, cfg.bits, cfg.b_pre)
+    batch = QuantizedBatch(norms, signs, levels, cfg.bits, cfg.b_pre)
+    return batch.frame(0) if isinstance(g, GradientVector) else batch
 
 
 def dequantized_draws(
@@ -277,34 +375,33 @@ def dequantized_draws(
     """
     if cfg.is_sign_only:
         raise ValueError("sign-only config: use sign_quantize")
-    norm, signs, low, frac = _prepare(g, cfg)
+    gs, values = _rows(g)
+    norms, signs, low, frac = _prepare(gs, values, cfg)
     u = rng.random((n, g.d))
     levels = low + (u < frac)
-    return ((norm * signs) * levels) / cfg.levels
-
-
-def _dequantize_values(q: QuantizedGradient) -> np.ndarray:
-    return (q.norm * q.signs.astype(np.float64) * q.levels) / q.level_count
+    return ((norms[0] * signs) * levels) / cfg.levels
 
 
 def dequantize(q: QuantizedGradient) -> GradientVector:
     """Deterministic inverse map: values_j = norm * sign_j * level_j / s."""
-    return GradientVector(_dequantize_values(q))
+    return GradientVector(q.as_batch().dequantized()[0])
 
 
-def sign_quantize(g: GradientVector, b_pre: int = 32) -> QuantizedGradient:
+def sign_quantize(
+    g: GradientVector | Sequence[GradientVector], b_pre: int = 32
+) -> QuantizedGradient | QuantizedBatch:
     """1-bit-per-coordinate codec: transmit signs plus a mean-|g| scale.
 
     Dequantizes to (||g||_1 / d) * sign(g_j), preserving the average
-    magnitude.  Deterministic; costs d + b_pre bits per frame.
+    magnitude.  Deterministic; costs d + b_pre bits per frame.  g is one
+    GradientVector (giving a QuantizedGradient) or a sequence of them (giving
+    a QuantizedBatch).
     """
-    values = g.values
-    if not np.all(np.isfinite(values)):
-        raise ValueError("gradient has a non-finite coordinate")
-    signs = np.where(values < 0, -1, 1).astype(np.int8)
-    scale = _wire_norm(float(np.sum(np.abs(values))) / g.d, b_pre)
-    levels = np.ones(g.d, dtype=np.uint32)
-    return QuantizedGradient._trusted(scale, signs, levels, 1, b_pre)
+    _, values = _rows(g)
+    scales = _wire_norms(np.sum(np.abs(values), axis=1) / values.shape[1], b_pre)
+    levels = np.ones(values.shape, dtype=np.uint32)
+    batch = QuantizedBatch(scales, _signs(values), levels, 1, b_pre)
+    return batch.frame(0) if isinstance(g, GradientVector) else batch
 
 
 def frame_bytes(d: int, bits: int, b_pre: int) -> int:
@@ -312,61 +409,86 @@ def frame_bytes(d: int, bits: int, b_pre: int) -> int:
     return b_pre // 8 + (d * bits + 7) // 8
 
 
-def encode(q: QuantizedGradient) -> bytes:
-    """Pack q into its exact bit layout.
+def _code_type(bits: int) -> np.dtype:
+    """Smallest big-endian unsigned integer type that holds a bits-wide code."""
+    return np.dtype(">u1" if bits <= 8 else ">u2" if bits <= 16 else ">u4")
+
+
+def encode(q: QuantizedGradient | QuantizedBatch) -> bytes:
+    """Pack q into its exact bit layout; a batch packs to its W frames back
+    to back, each laid out exactly as if encoded alone.
 
     Layout: the norm as a big-endian b_pre-bit IEEE float, then for each
     coordinate one sign bit (1 = negative) followed by bits-1 level bits,
     most significant bit first, zero-padded to a whole byte at the end.
     """
-    b = q.bits
-    if np.any(q.levels > q.level_count):
+    if isinstance(q, QuantizedGradient):
+        q = q.as_batch()
+    b, (W, d) = q.bits, q.levels.shape
+    if (q.levels > q.level_count).any():
         raise ValueError("level index exceeds the grid size s")
-    if q.b_pre == 32:
-        header = struct.pack(">f", q.norm)
-    else:
-        header = struct.pack(">d", q.norm)
-    sign_bits = (q.signs < 0).astype(np.uint32)
-    if b == 1:
-        bitstream = sign_bits.astype(np.uint8)
-    else:
-        codes = (sign_bits << (b - 1)) | q.levels
-        shifts = np.arange(b - 1, -1, -1, dtype=np.uint32)
-        bitstream = ((codes[:, None] >> shifts) & 1).astype(np.uint8).ravel()
-    return header + np.packbits(bitstream).tobytes()
+    header = q.norms.astype(">f4" if q.b_pre == 32 else ">f8")
+    if q.b_pre == 32 and not np.isfinite(header).all():
+        if (np.isinf(header) & np.isfinite(q.norms)).any():
+            raise OverflowError("float too large to pack with f format")
+    # Each coordinate's b-bit code (sign bit, then level bits) is written
+    # big-endian into the smallest integer type that holds it, unpacked to
+    # one byte per bit, and cut to its low b bits: the b bit planes of the
+    # (W, d) codes as one uint8 (W, d, b) array, which packbits then packs
+    # row by row.  The few numpy calls cost the same for any b.
+    code_type = _code_type(b)
+    codes = (q.signs < 0).astype(code_type.newbyteorder("="))
+    if b > 1:
+        codes <<= b - 1
+        codes |= q.levels
+    width = 8 * code_type.itemsize
+    planes = np.unpackbits(codes.astype(code_type, copy=False).view(np.uint8))
+    planes = planes.reshape(W, d, width)[:, :, width - b :].reshape(W, d * b)
+    payload = np.packbits(planes, axis=1)
+    return np.concatenate([header.view(np.uint8).reshape(W, -1), payload], axis=1).tobytes()
 
 
-def decode(data: bytes, d: int, cfg: QuantizerConfig) -> QuantizedGradient:
+def decode(
+    data: bytes, d: int, cfg: QuantizerConfig, frames: int | None = None
+) -> QuantizedGradient | QuantizedBatch:
     """Exact inverse of encode; padding bits are ignored.
 
-    Raises FramingError on a length mismatch and CorruptionError when the
-    decoded fields could not have come from a well-formed frame.
+    data is one frame, decoded to a QuantizedGradient, or, when frames = W
+    is given, W frames back to back, decoded to a QuantizedBatch.  Raises
+    FramingError on a length mismatch and CorruptionError when the decoded
+    fields of any frame could not have come from a well-formed frame.
     """
     b = cfg.bits
+    W = 1 if frames is None else frames
     expected = frame_bytes(d, b, cfg.b_pre)
-    if len(data) != expected:
+    if len(data) != W * expected:
         raise FramingError(
-            f"frame is {len(data)} bytes, expected {expected} for d={d}, "
+            f"frames are {len(data)} bytes, expected {W} x {expected} for d={d}, "
             f"bits={b}, b_pre={cfg.b_pre}"
         )
     nb = cfg.b_pre // 8
-    if cfg.b_pre == 32:
-        norm = float(struct.unpack(">f", data[:nb])[0])
-    else:
-        norm = float(struct.unpack(">d", data[:nb])[0])
-    if not (math.isfinite(norm) and norm >= 0.0):
-        raise CorruptionError(f"decoded norm {norm} is not a valid scale")
-    raw = np.frombuffer(data[nb:], dtype=np.uint8)
-    bitstream = np.unpackbits(raw)[: d * b].reshape(d, b)
-    signs = np.where(bitstream[:, 0] == 1, -1, 1).astype(np.int8)
+    raw = np.frombuffer(data, dtype=np.uint8).reshape(W, expected)
+    norms = raw[:, :nb].copy().view(">f4" if cfg.b_pre == 32 else ">f8")
+    norms = norms.ravel().astype(np.float64)
+    valid = np.isfinite(norms) & (norms >= 0.0)
+    if not valid.all():
+        i = int(np.argmin(valid))
+        raise CorruptionError(f"decoded norm {norms[i]} of frame {i} is not a valid scale")
+    # the inverse of encode's planes: each code's b bits go to the low end of
+    # a zeroed big-endian integer, which packbits then assembles; a
+    # (b-1)-bit level field cannot exceed s, so levels need no range check
+    code_type = _code_type(b)
+    width = 8 * code_type.itemsize
+    planes = np.zeros((W, d, width), dtype=np.uint8)
+    planes[:, :, width - b :] = np.unpackbits(raw[:, nb:], axis=1, count=d * b).reshape(W, d, b)
+    codes = np.packbits(planes).view(code_type).reshape(W, d)
+    signs = 1 - 2 * (codes >> (b - 1)).astype(np.int8)
     if b == 1:
-        levels = np.ones(d, dtype=np.uint32)
+        levels = np.ones((W, d), dtype=np.uint32)
     else:
-        weights = 1 << np.arange(b - 2, -1, -1, dtype=np.uint64)
-        levels = (bitstream[:, 1:].astype(np.uint64) @ weights).astype(np.uint32)
-        if np.any(levels > cfg.levels):
-            raise CorruptionError("decoded level index exceeds the grid size s")
-    return QuantizedGradient._trusted(norm, signs, levels, b, cfg.b_pre)
+        levels = (codes & cfg.levels).astype(np.uint32)
+    batch = QuantizedBatch(norms, signs, levels, b, cfg.b_pre)
+    return batch if frames is not None else batch.frame(0)
 
 
 def variance_bound(cfg: QuantizerConfig, g: GradientVector) -> float:

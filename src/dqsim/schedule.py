@@ -34,7 +34,6 @@ __all__ = [
     "continuous_bits",
     "dq_bits",
     "bits_monotonicity_class",
-    "quantization_budget",
     "asymptotic_quantization_budget",
     "budget_satisfaction",
     "fixed_bits_for_budget",
@@ -148,11 +147,6 @@ class SchedulerState:
                 raise ValueError("eps_q_hat must be positive")
             self.eps_q = self.eps_q_hat * self.L * self.d * self.eta**2 / (8.0 * self.W)
         self.alpha = _clamp_alpha(alpha_closed_form(self.eta, self.L, self.mu))
-
-
-def quantization_budget(state: SchedulerState) -> tuple[float, float]:
-    """(eps_q, eps_q_hat): the raw and rescaled quantization-error budgets."""
-    return state.eps_q, state.eps_q_hat
 
 
 def asymptotic_quantization_budget(

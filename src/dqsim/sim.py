@@ -3,7 +3,9 @@
 Each round every worker draws a stochastic gradient at the current point,
 quantizes it with the round's bit width, and transmits the encoded byte
 frame; the server decodes all frames, averages the dequantized gradients,
-takes the descent step, and asks the schedule for the next width.  Charged
+takes the descent step, and asks the schedule for the next width.  The
+workers' draws are made one worker at a time; quantization, the codec and
+the average then run once per round on (W, d) arrays.  Charged
 communication is exactly W * (d * b_t + b_pre) bits per round, and the
 frames actually produced are length-checked against that accounting.
 
@@ -21,11 +23,10 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from . import quant, theory
+from . import theory
 from .objective import GradientOracle, LogisticObjective, QuadraticObjective, make_dataset
 from .quant import (
-    GradientVector,
-    QuantizedGradient,
+    QuantizedBatch,
     QuantizerConfig,
     decode,
     encode,
@@ -283,29 +284,21 @@ class RunTrace:
 _COMPARED_FIELDS = ("t", "loss", "grad_norm", "gbar", "bits", "round_bits", "cum_bits")
 
 
-def aggregate(quantized: list[QuantizedGradient]) -> GradientVector:
-    """Coordinate-wise mean of the dequantized worker gradients.
+def aggregate(frames: QuantizedBatch) -> np.ndarray:
+    """Coordinate-wise mean of a round's dequantized frames.
 
-    Stacked in worker order into a fixed-shape matrix so the floating-point
-    result cannot depend on arrival order.
+    Row i is worker i's frame, so the floating-point result cannot depend on
+    the order in which frames arrived.
     """
-    if not quantized:
-        raise ValueError("nothing to aggregate")
-    d = quantized[0].d
-    if any(q.d != d for q in quantized):
-        raise ValueError("dimension mismatch across workers")
-    return GradientVector(_aggregate_values(quantized))
-
-
-def _aggregate_values(quantized: list[QuantizedGradient]) -> np.ndarray:
-    return np.stack([quant._dequantize_values(q) for q in quantized]).mean(axis=0)
+    return frames.dequantized().mean(axis=0)
 
 
 def run(config: RunConfig, _worker_order=None) -> RunTrace:
     """Execute T synchronous rounds of quantized distributed SGD.
 
-    _worker_order permutes only the order in which workers are *evaluated*
-    (a determinism test hook); the transcript is identical for any order.
+    _worker_order permutes only the order in which workers' streams are
+    derived and drawn from (a determinism test hook); the transcript is
+    identical for any order.
     """
     start = time.perf_counter()
     obj = build_objective(config.objective)
@@ -335,10 +328,12 @@ def run(config: RunConfig, _worker_order=None) -> RunTrace:
         return ewu_cfg[bits]
 
     cols = {name: [] for name in _COMPARED_FIELDS}
-    f0 = obj.loss(x)
-    b = schedule.start(f0)
+    f_t, exact = obj.loss_and_gradient(x)
+    b = schedule.start(f_t)
     cum_bits = 0
-    guard = DIVERGENCE_FACTOR * max(f0, 1.0)
+    guard = DIVERGENCE_FACTOR * max(f_t, 1.0)
+    grads = [None] * W
+    uniforms = np.empty((W, d))
 
     def partial_trace(diverged: bool, final_loss: float) -> RunTrace:
         return RunTrace(
@@ -360,37 +355,35 @@ def run(config: RunConfig, _worker_order=None) -> RunTrace:
         )
 
     for t in range(T):
-        f_t = f0 if t == 0 else obj.loss(x)
+        if t > 0:
+            f_t, exact = obj.loss_and_gradient(x)
         if not np.isfinite(f_t) or f_t > guard:
             raise DivergenceError(
                 f"loss {f_t} at iteration {t} tripped the divergence guard",
                 partial_trace(True, f_t),
             )
-        exact = obj.gradient(x)
         grad_norm = float(np.linalg.norm(exact))
 
-        frames = []
         for i in order:
             # one stream per (worker, iteration); gradient sampling draws
-            # first, then the stochastic-rounding draws
+            # first, then the d stochastic-rounding draws into row i
             stream = worker_stream(seed, i, t)
-            g = oracle.sample(i, x, stream, exact)
-            if b == 1:
-                q = sign_quantize(g, b_pre=config.b_pre)
-            else:
-                q = quantize(g, cfg_for(b), stream)
-            frames.append((i, encode(q)))
-        frames.sort(key=lambda item: item[0])
+            grads[i] = oracle.sample(i, x, stream, exact)
+            if b > 1:
+                stream.random(out=uniforms[i])
+        if b == 1:
+            sent = sign_quantize(grads, b_pre=config.b_pre)
+        else:
+            sent = quantize(grads, cfg_for(b), uniforms)
+        data = encode(sent)
+        if len(data) != W * frame_bytes(d, b, config.b_pre):
+            raise RuntimeError("codec produced frames inconsistent with accounting")
+        received = decode(data, d, cfg_for(b), W)
 
-        expected_len = frame_bytes(d, b, config.b_pre)
-        for _, frame in frames:
-            if len(frame) != expected_len:
-                raise RuntimeError("codec produced a frame inconsistent with accounting")
-        decode_cfg = cfg_for(b) if b > 1 else QuantizerConfig(1, config.p, config.b_pre)
-        qs = [decode(frame, d, decode_cfg) for _, frame in frames]
-
-        gbar = float(np.sqrt(np.mean([q.norm**2 for q in qs])))
-        x = x - eta * _aggregate_values(qs)
+        # Python's float power, not numpy's square: the two round some float64
+        # norms differently in the last bit, and gbar is defined by the former
+        gbar = float(np.sqrt(np.mean([norm**2 for norm in received.norms.tolist()])))
+        x = x - eta * aggregate(received)
 
         round_bits = W * (d * b + config.b_pre)
         cum_bits += round_bits

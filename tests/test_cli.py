@@ -105,6 +105,19 @@ def test_dense_quadratic_too_big_for_memory_rejected_with_line():
     assert parse_config("[objective]\nkind = quadratic\nd = 5000\n").run.objective.d == 5000
 
 
+def test_logistic_dataset_too_big_for_memory_rejected_with_line():
+    with pytest.raises(ConfigError) as err:
+        parse_config("[objective]\nkind = logistic\nd = 1000000\n")
+    (msg,) = err.value.errors
+    assert "line 3" in msg and "at most 60000000" in msg and "2000 * 1000000" in msg
+    with pytest.raises(ConfigError) as err:
+        parse_config("[objective]\nkind = logistic\nd = 30000\nn = 2001\n")
+    (msg,) = err.value.errors
+    assert "line 4" in msg and "GiB" in msg
+    spec = parse_config("[objective]\nkind = logistic\nn = 2000\nd = 30000\n")
+    assert (spec.run.objective.n, spec.run.objective.d) == (2000, 30000)
+
+
 def test_isotropic_quadratic_accepted_up_to_a_million():
     spec = parse_config("[objective]\nkind = quadratic-isotropic\nd = 1000000\n")
     assert spec.run.objective.d == 10**6

@@ -9,23 +9,19 @@ from dqsim.objective import (
     GradientOracle,
     LogisticObjective,
     QuadraticObjective,
-    constants,
-    full_gradient,
-    loss,
     make_dataset,
-    sample_gradient,
 )
 
 
 def test_quadratic_loss_trivial_points():
     obj = QuadraticObjective.isotropic(2, 1.0)
-    assert loss(obj, np.zeros(2)) == 0.0
-    assert loss(obj, np.array([1.0, 1.0])) == 1.0
+    assert obj.loss(np.zeros(2)) == 0.0
+    assert obj.loss(np.array([1.0, 1.0])) == 1.0
 
 
 def test_quadratic_gradient_examples():
     obj = QuadraticObjective.isotropic(2, 2.0)
-    assert np.array_equal(full_gradient(obj, np.array([1.0, 0.0])).values, [2.0, 0.0])
+    assert np.array_equal(obj.gradient(np.array([1.0, 0.0])), [2.0, 0.0])
     rng = np.random.default_rng(0)
     obj = QuadraticObjective.random_pd(5, 0.5, 3.0, rng)
     assert np.linalg.norm(obj.gradient(obj.optimum())) <= 1e-10
@@ -44,9 +40,9 @@ def test_quadratic_optimal_value_closed_form():
 
 def test_constants_examples():
     obj = QuadraticObjective(np.diag([1.0, 4.0]))
-    assert constants(obj) == (4.0, 1.0)
+    assert obj.constants() == (4.0, 1.0)
     obj = QuadraticObjective.isotropic(3, 2.5)
-    assert constants(obj) == (2.5, 2.5)
+    assert obj.constants() == (2.5, 2.5)
 
 
 def test_constants_against_power_iteration():
@@ -141,7 +137,7 @@ def test_gaussian_oracle_degenerate_noise_is_exact():
     obj = QuadraticObjective.isotropic(3, 1.0, A=np.array([0.5, -0.5, 1.0]))
     oracle = GradientOracle(obj, workers=2, noise="gaussian", sigma=0.0)
     x = np.array([1.0, 2.0, 3.0])
-    g = sample_gradient(oracle, 0, x, np.random.default_rng(0))
+    g = oracle.sample(0, x, np.random.default_rng(0))
     assert np.array_equal(g.values, obj.gradient(x))
 
 

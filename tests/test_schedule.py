@@ -21,7 +21,6 @@ from dqsim.schedule import (
     continuous_bits,
     dq_bits,
     fixed_bits_for_budget,
-    quantization_budget,
 )
 from dqsim.theory import am_alpha, gm_alpha
 
@@ -159,12 +158,10 @@ def test_trend_matches_continuous_difference():
 
 def test_budget_split_examples():
     state = make_state(T=100, W=8, d=10, eta=0.1, L=1.0, epsilon=0.1, gamma=0.0)
-    eps_q, _ = quantization_budget(state)
-    assert eps_q == 0.1
+    assert state.eps_q == 0.1
     state = make_state(T=100, W=8, d=10, eta=0.1, L=1.0, epsilon=0.1, gamma=0.5)
-    eps_q, eps_q_hat = quantization_budget(state)
-    assert eps_q == pytest.approx(0.05, rel=1e-15)
-    assert eps_q_hat == pytest.approx(32.0, rel=1e-12)
+    assert state.eps_q == pytest.approx(0.05, rel=1e-15)
+    assert state.eps_q_hat == pytest.approx(32.0, rel=1e-12)
 
 
 def test_asymptotic_budget_split():
@@ -173,8 +170,7 @@ def test_asymptotic_budget_split():
     L, eta, sigma, W, alpha, eps = 1.0, 0.1, 2.0, 8, 0.84, 0.1
     gamma = L * eta**2 * sigma**2 / (2 * W * (1 - alpha)) / eps
     state = make_state(W=W, eta=eta, L=L, epsilon=eps, gamma=gamma)
-    eps_q, _ = quantization_budget(state)
-    assert eps_q == pytest.approx(
+    assert state.eps_q == pytest.approx(
         asymptotic_quantization_budget(eps, L, eta, sigma, W, alpha), rel=1e-12
     )
 

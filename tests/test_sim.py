@@ -6,7 +6,13 @@ import math
 import numpy as np
 import pytest
 
-from dqsim.quant import GradientVector, QuantizedGradient, QuantizerConfig, quantize
+from dqsim.quant import (
+    GradientVector,
+    QuantizedBatch,
+    QuantizedGradient,
+    QuantizerConfig,
+    quantize,
+)
 from dqsim.sim import (
     CSV_HEADER,
     DivergenceError,
@@ -111,11 +117,11 @@ def test_aggregate_identical_and_opposite():
     rng = np.random.default_rng(0)
     g = GradientVector(rng.standard_normal(5))
     q = quantize(g, QuantizerConfig(bits=6), rng)
-    same = aggregate([q, q, q])
-    single = aggregate([q])
-    assert np.allclose(same.values, single.values, rtol=0, atol=0)
+    same = aggregate(QuantizedBatch.stack([q, q, q]))
+    single = aggregate(q.as_batch())
+    assert np.allclose(same, single, rtol=0, atol=0)
     neg = QuantizedGradient(q.norm, -q.signs, q.levels.copy(), q.bits, q.b_pre)
-    assert np.array_equal(aggregate([q, neg]).values, np.zeros(5))
+    assert np.array_equal(aggregate(QuantizedBatch.stack([q, neg])), np.zeros(5))
 
 
 def test_aggregate_matches_brute_force_mean():
@@ -124,7 +130,7 @@ def test_aggregate_matches_brute_force_mean():
     for _ in range(7):
         g = GradientVector(rng.standard_normal(4))
         qs.append(quantize(g, QuantizerConfig(bits=5), rng))
-    got = aggregate(qs).values
+    got = aggregate(QuantizedBatch.stack(qs))
     s = qs[0].level_count
     brute = [
         math.fsum(float(q.norm) * int(q.signs[j]) * int(q.levels[j]) / s for q in qs) / 7
@@ -137,9 +143,9 @@ def test_aggregate_dimension_mismatch():
     q1 = QuantizedGradient(1.0, np.array([1]), np.array([1]), bits=2)
     q2 = QuantizedGradient(1.0, np.array([1, 1]), np.array([1, 1]), bits=2)
     with pytest.raises(ValueError):
-        aggregate([q1, q2])
+        QuantizedBatch.stack([q1, q2])
     with pytest.raises(ValueError):
-        aggregate([])
+        QuantizedBatch.stack([])
 
 
 def test_aggregated_quantization_is_unbiased():

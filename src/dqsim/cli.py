@@ -18,6 +18,7 @@ import argparse
 import dataclasses
 import json
 import math
+import platform
 import re
 import sys
 import time
@@ -45,6 +46,7 @@ from .sim import (
     theory_report_for,
     write_trace,
 )
+from .streams import STREAM_FORMAT
 from .verify import VERIFIERS
 
 __all__ = [
@@ -598,6 +600,12 @@ def _write_manifest(out: Path, spec: ExperimentSpec, config_text: str, command: 
         "kind": spec.kind,
         "seed": spec.run.seed,
         "seeds": list(spec.seeds),
+        # provenance of the bit-identical replay claim: the draw layout and
+        # the interpreter, numpy and platform the run was made with
+        "stream_format": STREAM_FORMAT,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "platform": platform.platform(),
     }
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 

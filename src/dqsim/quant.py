@@ -156,9 +156,9 @@ class QuantizedGradient:
             raise ValueError(f"bits must be in [1, 32], got {self.bits}")
         if self.b_pre not in (32, 64):
             raise ValueError(f"b_pre must be 32 or 64, got {self.b_pre}")
-        if np.any(self.levels > self.level_count):
+        if self.levels.max() > self.level_count:
             raise ValueError("level index exceeds the grid size s")
-        if not np.all(np.abs(self.signs) == 1):
+        if not (np.abs(self.signs) == 1).all():
             raise ValueError("signs must be +1 or -1")
 
     @classmethod
@@ -286,9 +286,20 @@ def _wire_norms(norms: np.ndarray, b_pre: int) -> np.ndarray:
     return norms
 
 
-def _rows(g: GradientVector | Sequence[GradientVector]):
-    """(gradients, their values as a (W, d) array); one vector is W = 1."""
-    if isinstance(g, GradientVector):
+def _rows(g, p: float | None = None):
+    """(values as a (W, d) array, their l_p norms); one vector is W = 1.
+
+    g is one GradientVector, a sequence of them, or a (W, d) float array of W
+    gradients.  The norms are computed only when p is given.  Row i's norm is
+    gradient i's own 1-D lp_norm (a GradientVector's cached norm when its p
+    matches), so it is the same number whether the row is alone or in a
+    batch.
+    """
+    if isinstance(g, np.ndarray):
+        if g.ndim != 2 or g.size == 0:
+            raise ValueError(f"expected a nonempty (W, d) array of gradients, got {g.shape}")
+        gs, values = None, np.asarray(g, dtype=np.float64)
+    elif isinstance(g, GradientVector):
         gs, values = [g], g.values[None]
     else:
         gs = list(g)
@@ -297,7 +308,11 @@ def _rows(g: GradientVector | Sequence[GradientVector]):
         values = np.stack([v.values for v in gs])
     if not np.isfinite(values).all():
         raise ValueError("gradient has a non-finite coordinate")
-    return gs, values
+    if p is None:
+        return values, None
+    if gs is None:
+        return values, [lp_norm(row, p) for row in values]
+    return values, [v.cached_norm if v.p == p else lp_norm(v.values, p) for v in gs]
 
 
 def _signs(values: np.ndarray) -> np.ndarray:
@@ -305,18 +320,15 @@ def _signs(values: np.ndarray) -> np.ndarray:
     return 1 - 2 * (values < 0).view(np.int8)
 
 
-def _prepare(gs: list[GradientVector], values: np.ndarray, cfg: QuantizerConfig):
-    """Shared setup for quantize and dequantized_draws over (W, d) values.
+def _prepare(g, cfg: QuantizerConfig):
+    """Shared setup for quantize and dequantized_draws over g's (W, d) values.
 
-    Returns (norms, signs, low, frac) where low + Bernoulli(frac) is the
-    level.  Row i's norm is gradient i's own 1-D norm, so it is the same
-    number whether the row is quantized alone or in a batch.
+    Returns (values, norms, signs, low, frac) where low + Bernoulli(frac) is
+    the level.
     """
     s = cfg.levels
-    norms = np.array(
-        [v.cached_norm if v.p == cfg.p else lp_norm(v.values, cfg.p) for v in gs]
-    )
-    norms = _wire_norms(norms, cfg.b_pre)
+    values, norms = _rows(g, cfg.p)
+    norms = _wire_norms(np.array(norms), cfg.b_pre)
     if not np.isfinite(norms).all():
         raise ValueError("gradient norm overflows the wire precision")
     zero = norms == 0.0
@@ -329,11 +341,11 @@ def _prepare(gs: list[GradientVector], values: np.ndarray, cfg: QuantizerConfig)
     scaled[zero] = 0.0
     low = np.floor(scaled)
     frac = scaled - low
-    return norms, _signs(values), low, frac
+    return values, norms, _signs(values), low, frac
 
 
 def quantize(
-    g: GradientVector | Sequence[GradientVector],
+    g: GradientVector | Sequence[GradientVector] | np.ndarray,
     cfg: QuantizerConfig,
     rng: np.random.Generator | np.ndarray,
 ) -> QuantizedGradient | QuantizedBatch:
@@ -344,16 +356,15 @@ def quantize(
     dequantization unbiased.  A zero-norm input gets all-zero levels.
 
     g is one GradientVector, quantized to a QuantizedGradient with d
-    uniforms drawn from the Generator rng, or a sequence of W of them,
-    quantized to a QuantizedBatch.  For a batch rng is either a Generator or
-    the (W, d) array of rounding uniforms, row i for gradient i; a row drawn
-    with Generator.random(out=row) holds the same doubles that quantizing
-    gradient i alone would draw.
+    uniforms drawn from the Generator rng, or W gradients, as a sequence of
+    GradientVectors or a (W, d) array, quantized to a QuantizedBatch.  For a
+    batch rng is either a Generator or the (W, d) array of rounding uniforms,
+    row i for gradient i; a row drawn with Generator.random(out=row) holds the
+    same doubles that quantizing gradient i alone would draw.
     """
     if cfg.is_sign_only:
         raise ValueError("sign-only config: use sign_quantize")
-    gs, values = _rows(g)
-    norms, signs, low, frac = _prepare(gs, values, cfg)
+    values, norms, signs, low, frac = _prepare(g, cfg)
     if isinstance(rng, np.random.Generator):
         u = rng.random(values.shape)
     else:
@@ -375,8 +386,7 @@ def dequantized_draws(
     """
     if cfg.is_sign_only:
         raise ValueError("sign-only config: use sign_quantize")
-    gs, values = _rows(g)
-    norms, signs, low, frac = _prepare(gs, values, cfg)
+    _, norms, signs, low, frac = _prepare(g, cfg)
     u = rng.random((n, g.d))
     levels = low + (u < frac)
     return ((norms[0] * signs) * levels) / cfg.levels
@@ -388,16 +398,16 @@ def dequantize(q: QuantizedGradient) -> GradientVector:
 
 
 def sign_quantize(
-    g: GradientVector | Sequence[GradientVector], b_pre: int = 32
+    g: GradientVector | Sequence[GradientVector] | np.ndarray, b_pre: int = 32
 ) -> QuantizedGradient | QuantizedBatch:
     """1-bit-per-coordinate codec: transmit signs plus a mean-|g| scale.
 
     Dequantizes to (||g||_1 / d) * sign(g_j), preserving the average
     magnitude.  Deterministic; costs d + b_pre bits per frame.  g is one
-    GradientVector (giving a QuantizedGradient) or a sequence of them (giving
-    a QuantizedBatch).
+    GradientVector (giving a QuantizedGradient) or W gradients, as a sequence
+    of them or a (W, d) array (giving a QuantizedBatch).
     """
-    _, values = _rows(g)
+    values, _ = _rows(g)
     scales = _wire_norms(np.sum(np.abs(values), axis=1) / values.shape[1], b_pre)
     levels = np.ones(values.shape, dtype=np.uint32)
     batch = QuantizedBatch(scales, _signs(values), levels, 1, b_pre)
@@ -425,26 +435,24 @@ def encode(q: QuantizedGradient | QuantizedBatch) -> bytes:
     if isinstance(q, QuantizedGradient):
         q = q.as_batch()
     b, (W, d) = q.bits, q.levels.shape
-    if (q.levels > q.level_count).any():
+    if q.levels.max() > q.level_count:
         raise ValueError("level index exceeds the grid size s")
     header = q.norms.astype(">f4" if q.b_pre == 32 else ">f8")
-    if q.b_pre == 32 and not np.isfinite(header).all():
-        if (np.isinf(header) & np.isfinite(q.norms)).any():
-            raise OverflowError("float too large to pack with f format")
-    # Each coordinate's b-bit code (sign bit, then level bits) is written
-    # big-endian into the smallest integer type that holds it, unpacked to
-    # one byte per bit, and cut to its low b bits: the b bit planes of the
-    # (W, d) codes as one uint8 (W, d, b) array, which packbits then packs
-    # row by row.  The few numpy calls cost the same for any b.
+    if q.b_pre == 32:
+        for wire, norm in zip(header.tolist(), q.norms.tolist()):
+            if math.isinf(wire) and math.isfinite(norm):
+                raise OverflowError("float too large to pack with f format")
+    # Each level is written big-endian into the smallest integer type that
+    # holds a b-bit code and unpacked to one byte per bit.  A level is below
+    # 2**(b-1), so bit plane b-1 from the low end is free and takes the sign
+    # bit; cut to the low b planes, this is the uint8 (W, d, b) array of the
+    # codes' bits, which packbits packs row by row.  The few numpy calls cost
+    # the same for any b.
     code_type = _code_type(b)
-    codes = (q.signs < 0).astype(code_type.newbyteorder("="))
-    if b > 1:
-        codes <<= b - 1
-        codes |= q.levels
     width = 8 * code_type.itemsize
-    planes = np.unpackbits(codes.astype(code_type, copy=False).view(np.uint8))
-    planes = planes.reshape(W, d, width)[:, :, width - b :].reshape(W, d * b)
-    payload = np.packbits(planes, axis=1)
+    planes = np.unpackbits(q.levels.astype(code_type).view(np.uint8)).reshape(W, d, width)
+    planes[:, :, width - b] = q.signs < 0
+    payload = np.packbits(planes[:, :, width - b :].reshape(W, d * b), axis=1)
     return np.concatenate([header.view(np.uint8).reshape(W, -1), payload], axis=1).tobytes()
 
 
@@ -466,27 +474,29 @@ def decode(
             f"frames are {len(data)} bytes, expected {W} x {expected} for d={d}, "
             f"bits={b}, b_pre={cfg.b_pre}"
         )
+    # the W headers and the W payloads as strided views of data
     nb = cfg.b_pre // 8
-    raw = np.frombuffer(data, dtype=np.uint8).reshape(W, expected)
-    norms = raw[:, :nb].copy().view(">f4" if cfg.b_pre == 32 else ">f8")
-    norms = norms.ravel().astype(np.float64)
-    valid = np.isfinite(norms) & (norms >= 0.0)
-    if not valid.all():
-        i = int(np.argmin(valid))
-        raise CorruptionError(f"decoded norm {norms[i]} of frame {i} is not a valid scale")
+    header_type = ">f4" if cfg.b_pre == 32 else ">f8"
+    norms = np.ndarray((W,), header_type, data, 0, (expected,)).astype(np.float64)
+    for i, norm in enumerate(norms.tolist()):
+        if not 0.0 <= norm < math.inf:
+            raise CorruptionError(f"decoded norm {norm} of frame {i} is not a valid scale")
+    payload = np.ndarray((W, expected - nb), np.uint8, data, nb, (expected, 1))
     # the inverse of encode's planes: each code's b bits go to the low end of
-    # a zeroed big-endian integer, which packbits then assembles; a
-    # (b-1)-bit level field cannot exceed s, so levels need no range check
+    # a zeroed big-endian integer; with the sign plane read and cleared,
+    # packbits assembles the levels.  A (b-1)-bit level field cannot exceed
+    # s, so levels need no range check.
     code_type = _code_type(b)
     width = 8 * code_type.itemsize
     planes = np.zeros((W, d, width), dtype=np.uint8)
-    planes[:, :, width - b :] = np.unpackbits(raw[:, nb:], axis=1, count=d * b).reshape(W, d, b)
-    codes = np.packbits(planes).view(code_type).reshape(W, d)
-    signs = 1 - 2 * (codes >> (b - 1)).astype(np.int8)
+    planes[:, :, width - b :] = np.unpackbits(payload, axis=1, count=d * b).reshape(W, d, b)
+    sign_plane = planes[:, :, width - b]
+    signs = -sign_plane.view(np.int8) | 1  # sign bit 1 is -1, 0 is +1
     if b == 1:
         levels = np.ones((W, d), dtype=np.uint32)
     else:
-        levels = (codes & cfg.levels).astype(np.uint32)
+        sign_plane[...] = 0
+        levels = np.packbits(planes).view(code_type).reshape(W, d).astype(np.uint32)
     batch = QuantizedBatch(norms, signs, levels, b, cfg.b_pre)
     return batch if frames is not None else batch.frame(0)
 

@@ -221,12 +221,9 @@ def fixed_bits_for_budget(gbar_seq, alpha: float, eps_q_hat: float) -> int:
 
 
 class BitSchedule:
-    """Base bit schedule: emits b_t for each round and records the result."""
+    """Base bit schedule: emits b_t for each round."""
 
     kind = "base"
-
-    def __init__(self):
-        self.realized: list[int] = []
 
     def start(self, f0: float) -> int:
         raise NotImplementedError
@@ -235,21 +232,11 @@ class BitSchedule:
         """Bits for round t+1, given stats observed through round t."""
         raise NotImplementedError
 
-    def bits_at(self, t: int) -> int:
-        if t < len(self.realized):
-            return self.realized[t]
-        raise IndexError(f"round {t} has not been scheduled yet")
-
-    def _emit(self, b: int) -> int:
-        self.realized.append(b)
-        return b
-
 
 class FixedSchedule(BitSchedule):
     """Constant width; also covers the ternary (2-bit) baseline."""
 
     def __init__(self, bits: int, kind: str = "fixed"):
-        super().__init__()
         if not 2 <= bits <= 32:
             raise ValueError(f"fixed width must be in [2, 32], got {bits}")
         if kind == "ternary" and bits != 2:
@@ -258,12 +245,9 @@ class FixedSchedule(BitSchedule):
         self.kind = kind
 
     def start(self, f0: float) -> int:
-        return self._emit(self.bits)
+        return self.bits
 
     def update(self, t: int, loss_t: float, gbar_t: float) -> int:
-        return self._emit(self.bits)
-
-    def bits_at(self, t: int) -> int:
         return self.bits
 
 
@@ -273,12 +257,9 @@ class SignSchedule(BitSchedule):
     kind = "sign"
 
     def start(self, f0: float) -> int:
-        return self._emit(1)
+        return 1
 
     def update(self, t: int, loss_t: float, gbar_t: float) -> int:
-        return self._emit(1)
-
-    def bits_at(self, t: int) -> int:
         return 1
 
 
@@ -294,14 +275,13 @@ class DynamicSchedule(BitSchedule):
     kind = "dynamic"
 
     def __init__(self, state: SchedulerState):
-        super().__init__()
         self.state = state
         self._current = state.b0
 
     def start(self, f0: float) -> int:
         self.state.F0 = f0
         self._current = min(max(self.state.b0, self.state.b_min), self.state.b_max)
-        return self._emit(self._current)
+        return self._current
 
     def update(self, t: int, loss_t: float, gbar_t: float) -> int:
         st = self.state
@@ -313,4 +293,4 @@ class DynamicSchedule(BitSchedule):
             elif st.alpha_source == "closed_form":
                 st.alpha = _clamp_alpha(alpha_closed_form(st.eta, st.L, st.mu))
             self._current = dq_bits(st, t_next, gbar_t)
-        return self._emit(self._current)
+        return self._current

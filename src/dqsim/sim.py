@@ -4,10 +4,11 @@ Each round every worker draws a stochastic gradient at the current point,
 quantizes it with the round's bit width, and transmits the encoded byte
 frame; the server decodes all frames, averages the dequantized gradients,
 takes the descent step, and asks the schedule for the next width.  The
-workers' draws are made one worker at a time; quantization, the codec and
-the average then run once per round on (W, d) arrays.  Charged
-communication is exactly W * (d * b_t + b_pre) bits per round, and the
-frames actually produced are length-checked against that accounting.
+workers' random draws are made one worker at a time; their gradients,
+quantization, the codec and the average then run once per round on (W, d)
+arrays.  Charged communication is exactly W * (d * b_t + b_pre) bits per
+round, and the frames actually produced are length-checked against that
+accounting.
 
 Runs are deterministic given the config: all randomness flows through
 per-(worker, iteration) Philox streams, so worker evaluation order cannot
@@ -332,7 +333,7 @@ def run(config: RunConfig, _worker_order=None) -> RunTrace:
     b = schedule.start(f_t)
     cum_bits = 0
     guard = DIVERGENCE_FACTOR * max(f_t, 1.0)
-    grads = [None] * W
+    draws = [None] * W
     uniforms = np.empty((W, d))
 
     def partial_trace(diverged: bool, final_loss: float) -> RunTrace:
@@ -365,12 +366,13 @@ def run(config: RunConfig, _worker_order=None) -> RunTrace:
         grad_norm = float(np.linalg.norm(exact))
 
         for i in order:
-            # one stream per (worker, iteration); gradient sampling draws
-            # first, then the d stochastic-rounding draws into row i
+            # one stream per (worker, iteration); the oracle draws first,
+            # then the d stochastic-rounding draws go into row i
             stream = worker_stream(seed, i, t)
-            grads[i] = oracle.sample(i, x, stream, exact)
+            draws[i] = oracle.draw(i, stream)
             if b > 1:
                 stream.random(out=uniforms[i])
+        grads = oracle.gradients(x, draws, exact)
         if b == 1:
             sent = sign_quantize(grads, b_pre=config.b_pre)
         else:

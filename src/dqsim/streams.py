@@ -9,11 +9,15 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["LANE_SAMPLE", "LANE_QUANT", "LANE_AUX", "worker_stream"]
+__all__ = ["LANE_SAMPLE", "LANE_AUX", "STREAM_FORMAT", "worker_stream"]
 
-LANE_SAMPLE = 0  # gradient sampling noise
-LANE_QUANT = 1  # stochastic rounding draws
+LANE_SAMPLE = 0  # gradient sampling noise, then stochastic rounding draws
 LANE_AUX = 2  # calibration and other one-off draws
+
+# Version of the draw layout: the key layout below, and the order in which a
+# round draws from each stream (oracle sample first, then the d rounding
+# uniforms).  Recorded in manifest.json; any change to the layout bumps it.
+STREAM_FORMAT = 1
 
 _WORKER_LIMIT = 1 << 24
 _ITER_LIMIT = 1 << 32
@@ -34,11 +38,5 @@ def worker_stream(
         raise ValueError(f"iteration {iteration} out of range")
     if not 0 <= lane < 256:
         raise ValueError(f"lane {lane} out of range")
-    key = np.array(
-        [
-            np.uint64(master & 0xFFFFFFFFFFFFFFFF),
-            np.uint64((lane << 56) | (worker << 32) | iteration),
-        ],
-        dtype=np.uint64,
-    )
-    return np.random.Generator(np.random.Philox(key=key))
+    key = (master & 0xFFFFFFFFFFFFFFFF, (lane << 56) | (worker << 32) | iteration)
+    return np.random.Generator(np.random.Philox(key=np.array(key, dtype=np.uint64)))

@@ -1,7 +1,9 @@
 """Config format, artifact layout, summaries, exit codes."""
 
 import json
+import platform
 
+import numpy as np
 import pytest
 
 from dqsim.cli import (
@@ -19,6 +21,7 @@ from dqsim.cli import (
     run_experiment,
 )
 from dqsim.sim import ObjectiveSpec, OracleSpec, RunConfig, ScheduleSpec, run
+from dqsim.streams import STREAM_FORMAT
 
 MINIMAL = """
 [objective]
@@ -207,6 +210,10 @@ def test_run_experiment_writes_reproducible_artifacts(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["tool"] == "dqsim" and "version" in manifest
     assert manifest["seed"] == spec.run.seed
+    assert manifest["stream_format"] == STREAM_FORMAT == 1
+    assert manifest["python"] == platform.python_version()
+    assert manifest["numpy"] == np.__version__
+    assert manifest["platform"] == platform.platform()
     trace = json.loads((out / "trace.json").read_text())
     assert trace["config"]["seed"] == spec.run.seed
     csv_text = (out / "trace.csv").read_text()

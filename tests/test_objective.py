@@ -11,6 +11,8 @@ from dqsim.objective import (
     QuadraticObjective,
     make_dataset,
 )
+from dqsim.quant import GradientVector, lp_norm
+from dqsim.streams import worker_stream
 
 
 def test_quadratic_loss_trivial_points():
@@ -239,6 +241,142 @@ def test_oracle_error_cases():
         oracle.sample(2, np.zeros(2), np.random.default_rng(0))
     with pytest.raises(ValueError):
         GradientOracle(obj, workers=2, noise="bogus")
+
+
+# ---------------------------------------------------------------------------
+# the batched oracle: per-worker draws, then one gradient pass
+# ---------------------------------------------------------------------------
+
+
+def _reference_sample(oracle, worker, x, rng, exact):
+    """One worker's sample computed alone, as the per-worker oracle did."""
+    if oracle.noise == "gaussian":
+        if oracle.sigma > 0:
+            return exact + rng.normal(0.0, oracle.sigma / np.sqrt(oracle.d), size=oracle.d)
+        return exact
+    shard = oracle.shards[worker]
+    rows = shard
+    if oracle.batch_size < len(shard):
+        rows = rng.choice(shard, size=oracle.batch_size, replace=False)
+    return oracle.objective.gradient_on(rows, x)
+
+
+ORACLE_CASES = {
+    "split-batch-below-shard": dict(noise="minibatch", batch_size=3),
+    "split-batch-covers-shard": dict(noise="minibatch", batch_size=100),
+    "replicate-batch-below-n": dict(noise="minibatch", batch_size=7, shard_mode="replicate"),
+    "replicate-full-batch": dict(noise="minibatch", batch_size=10**6, shard_mode="replicate"),
+    "gaussian-sigma": dict(noise="gaussian", sigma=0.6),
+    "gaussian-exact": dict(noise="gaussian", sigma=0.0),
+}
+
+
+def _oracle(W, case, d=9, n=80):
+    X, y = make_dataset(n, d, seed=31)
+    obj = LogisticObjective(X, y, ridge=0.05)
+    return GradientOracle(obj, workers=W, norm_order=3.0, **ORACLE_CASES[case])
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+@pytest.mark.parametrize("W", [1, 5, 16])
+def test_draw_and_gradients_equal_per_worker_samples(W, case):
+    oracle = _oracle(W, case)
+    rng = np.random.default_rng(32)
+    for t in range(3):
+        x = rng.standard_normal(oracle.d)
+        exact = oracle.objective.gradient(x)
+        draws = [None] * W
+        for i in reversed(range(W)):
+            draws[i] = oracle.draw(i, worker_stream(40, i, t))
+        grads = oracle.gradients(x, draws, exact)
+        assert grads.shape == (W, oracle.d)
+        for i in range(W):
+            ref = _reference_sample(oracle, i, x, worker_stream(40, i, t), exact)
+            assert np.array_equal(grads[i], ref)
+            # the batch of one is the same number, and so is the row's norm
+            alone = oracle.sample(i, x, worker_stream(40, i, t), exact)
+            assert np.array_equal(alone.values, ref)
+            assert lp_norm(grads[i], 3.0) == GradientVector(ref, p=3.0).cached_norm
+
+
+def test_logistic_gradients_on_row_sets_match_gradient_on():
+    X, y = make_dataset(40, 7, seed=35)
+    obj = LogisticObjective(X, y, ridge=0.2)
+    rng = np.random.default_rng(36)
+    x = rng.standard_normal(7)
+    rows = np.stack([rng.choice(40, size=6, replace=False) for _ in range(4)])
+    buf = np.empty((4, 6, 7))
+    grads = obj.gradients_on(rows, x, buf)
+    assert grads.shape == (4, 7)
+    for g, r in zip(grads, rows):
+        assert np.array_equal(g, obj.gradient_on(r, x))
+    assert np.array_equal(buf, X[rows])
+
+
+def test_gather_never_exceeds_n_rows(monkeypatch):
+    from dqsim import objective
+
+    gathered = []
+    take = np.take
+
+    def recording_take(a, indices, axis=None, out=None, mode="raise"):
+        gathered.append(out.shape[0] * out.shape[1])
+        return take(a, indices, axis=axis, out=out, mode=mode)
+
+    monkeypatch.setattr(objective.np, "take", recording_take)
+    n, W = 80, 16
+    oracle = _oracle(W, "replicate-full-batch", n=n)
+    x = np.linspace(-1.0, 1.0, oracle.d)
+    grads = oracle.gradients(x, [oracle.draw(i, None) for i in range(W)])
+    oracle.calibrate(x, draws=7, rng=np.random.default_rng(0))
+    assert gathered and max(gathered) <= n
+    assert oracle._gather.shape[0] <= n
+    assert all(np.array_equal(g, oracle.objective.gradient(x)) for g in grads)
+
+
+def test_gather_is_cut_to_gather_bytes(monkeypatch):
+    from dqsim import objective
+
+    gathered = []
+    take = np.take
+
+    def recording_take(a, indices, axis=None, out=None, mode="raise"):
+        gathered.append(out.nbytes)
+        return take(a, indices, axis=axis, out=out, mode=mode)
+
+    monkeypatch.setattr(objective.np, "take", recording_take)
+    W = 16
+    oracle = _oracle(W, "split-batch-below-shard")
+    one_worker = oracle.batch_size * oracle.d * 8
+    monkeypatch.setattr(objective, "GATHER_BYTES", 5 * one_worker)
+    x = np.linspace(-1.0, 1.0, oracle.d)
+    rng = np.random.default_rng(34)
+    draws = [oracle.draw(i, rng) for i in range(W)]
+    grads = oracle.gradients(x, draws)
+    assert len(gathered) == 4 and max(gathered) == 5 * one_worker
+    for g, rows in zip(grads, draws):
+        assert np.array_equal(g, oracle.objective.gradient_on(rows, x))
+
+
+@pytest.mark.parametrize(
+    "case", ["split-batch-below-shard", "replicate-batch-below-n", "gaussian-sigma"]
+)
+def test_calibrate_equals_the_per_draw_measurement(case):
+    W, draws = 5, 13  # draws is not a multiple of W
+    oracle = _oracle(W, case)
+    x = np.full(oracle.d, 0.2)
+    measured, per_worker = oracle.calibrate(x, draws, np.random.default_rng(33))
+    rng = np.random.default_rng(33)
+    ref = oracle.objective.gradient(x)
+    expected = []
+    for i in range(W):
+        total = 0.0
+        for _ in range(draws):
+            diff = _reference_sample(oracle, i, x, rng, ref) - ref
+            total += float(diff @ diff)
+        expected.append(total / draws)
+    assert per_worker == expected
+    assert measured == max(expected)
 
 
 # ---------------------------------------------------------------------------

@@ -301,3 +301,25 @@ def test_lp_norm_general_orders():
     assert lp_norm(v, 1) == 5.0
     assert lp_norm(v, 2) == 3.0
     assert lp_norm(v, np.inf) == 2.0
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0, np.inf])
+def test_array_batch_quantizes_like_its_gradient_vectors(p):
+    rng = rng_for(9)
+    W, d = 6, 23
+    values = rng.standard_normal((W, d)) * rng.uniform(1e-3, 1e3, (W, 1))
+    values[2] = 0.0
+    values[4] = -np.abs(values[4])
+    gs = [GradientVector(v, p=p) for v in values]
+    uniforms = rng.random((W, d))
+    for bits, b_pre in ((2, 32), (7, 64), (32, 32)):
+        cfg = QuantizerConfig(bits=bits, p=p, b_pre=b_pre)
+        got, want = quantize(values, cfg, uniforms), quantize(gs, cfg, uniforms)
+        assert np.array_equal(got.norms, want.norms)
+        assert np.array_equal(got.signs, want.signs)
+        assert np.array_equal(got.levels, want.levels)
+    got, want = sign_quantize(values, b_pre=64), sign_quantize(gs, b_pre=64)
+    assert np.array_equal(got.norms, want.norms) and np.array_equal(got.signs, want.signs)
+    for bad in (values[0], values[None], np.empty((3, 0))):
+        with pytest.raises(ValueError):
+            quantize(bad, QuantizerConfig(bits=4, p=p), rng)

@@ -269,7 +269,6 @@ def test_dynamic_schedule_holds_between_refreshes():
     assert set(changes) <= {10, 20}
     assert bits[:10] == [5] * 10
     assert all(2 <= b <= 32 for b in bits)
-    assert sched.realized == bits
 
 
 def test_dynamic_schedule_never_emits_one_bit():

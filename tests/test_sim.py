@@ -216,18 +216,28 @@ def test_changing_w_scales_bits_by_formula():
 
 
 def test_worker_order_does_not_matter():
-    cfg = quad_config(
+    gaussian_quadratic = quad_config(
         W=5,
         oracle=OracleSpec(kind="gaussian", sigma=0.5),
         schedule=ScheduleSpec(kind="fixed", bits=4),
         T=20,
     )
-    forward = run(cfg)
-    backward = run(cfg, _worker_order=[4, 3, 2, 1, 0])
-    shuffled = run(cfg, _worker_order=[2, 0, 4, 1, 3])
-    assert np.array_equal(forward.loss, backward.loss)
-    assert np.array_equal(forward.x_final, shuffled.x_final)
-    assert np.array_equal(forward.gbar, shuffled.gbar)
+    minibatch_logistic = RunConfig(
+        objective=ObjectiveSpec(kind="logistic", d=6, n=60, ridge=0.1, data_seed=4),
+        oracle=OracleSpec(kind="minibatch", batch_size=4, calibration_draws=3),
+        schedule=ScheduleSpec(kind="fixed", bits=5),
+        W=5,
+        T=15,
+        eta=0.3,
+        x0="zeros",
+    )
+    for cfg in (gaussian_quadratic, minibatch_logistic):
+        forward = run(cfg)
+        backward = run(cfg, _worker_order=[4, 3, 2, 1, 0])
+        shuffled = run(cfg, _worker_order=[2, 0, 4, 1, 3])
+        assert np.array_equal(forward.loss, backward.loss)
+        assert np.array_equal(forward.x_final, shuffled.x_final)
+        assert np.array_equal(forward.gbar, shuffled.gbar)
 
 
 def test_monotone_loss_in_expectation_at_full_precision():

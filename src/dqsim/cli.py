@@ -46,7 +46,7 @@ from .sim import (
     theory_report_for,
     write_trace,
 )
-from .streams import STREAM_FORMAT
+from .streams import ITER_LIMIT, SEED_LIMIT, STREAM_FORMAT, WORKER_LIMIT
 from .verify import VERIFIERS
 
 __all__ = [
@@ -232,10 +232,12 @@ _SCHEMA = {
         "calibration_draws": _check_int(0),
     },
     "run": {
-        "W": _check_int(1),
-        "T": _check_int(1),
+        # the random-stream key has 24 bits for the worker, 32 for the
+        # iteration and 64 for the seed; a larger seed would alias a smaller one
+        "W": _check_int(1, WORKER_LIMIT),
+        "T": _check_int(1, ITER_LIMIT),
         "eta": _check_range(lo=0, lo_open=True),
-        "seed": _check_int(0),
+        "seed": _check_int(0, SEED_LIMIT - 1),
         "p": _check_range(lo=0, lo_open=True),
         "b_pre": _check_choice(32, 64),
         "x0": _check_choice("ones", "zeros", "gaussian"),
@@ -729,6 +731,17 @@ def run_experiment(
 # ---------------------------------------------------------------------------
 
 
+def _parse_seed(text: str) -> int:
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"seed must be an integer, got {text!r}") from None
+    err = _SCHEMA["run"]["seed"](seed)
+    if err:
+        raise argparse.ArgumentTypeError(f"seed {err}")
+    return seed
+
+
 def _parse_seed_range(text: str) -> tuple[int, int]:
     m = re.match(r"^(\d+)\.\.(\d+)$", text)
     if not m:
@@ -736,6 +749,9 @@ def _parse_seed_range(text: str) -> tuple[int, int]:
     lo, hi = int(m.group(1)), int(m.group(2))
     if hi < lo:
         raise argparse.ArgumentTypeError("seed range must be nondecreasing")
+    err = _SCHEMA["experiment"]["seeds"]([lo, hi])
+    if err:
+        raise argparse.ArgumentTypeError(f"seed range {err}")
     return lo, hi
 
 
@@ -751,7 +767,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if needs_config:
             p.add_argument("--config", required=True, help="config file path")
         p.add_argument("--out", required=True, help="artifact directory")
-        p.add_argument("--seed", type=int, help="override the run seed")
+        p.add_argument("--seed", type=_parse_seed, help="override the run seed")
         p.add_argument("--format", help="comma-separated subset of csv,json")
 
     common(sub.add_parser("run", help="single run, emit trace + theory report"))
@@ -763,7 +779,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pv = sub.add_parser("verify", help="analytical verification suites")
     pv.add_argument("check", choices=sorted(VERIFIERS))
     pv.add_argument("--out", help="artifact directory (optional)")
-    pv.add_argument("--seed", type=int, default=0)
+    pv.add_argument("--seed", type=_parse_seed, default=0)
     sub.add_parser("defaults", help="print every config key with its default")
     return parser
 

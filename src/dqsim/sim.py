@@ -12,7 +12,9 @@ accounting.
 
 Runs are deterministic given the config: all randomness flows through
 per-(worker, iteration) Philox streams, so worker evaluation order cannot
-change the trace and any finished run can be replayed bit for bit.
+change the trace and any finished run can be replayed bit for bit.  A run
+builds one Generator, its calibration stream, and re-keys it in place for
+each (worker, iteration) rather than building W * T of them.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from .schedule import (
     FixedSchedule,
     SchedulerState,
     SignSchedule,
+    alpha_closed_form,
     budget_satisfaction,
 )
 from .streams import LANE_AUX, worker_stream
@@ -314,9 +317,12 @@ def run(config: RunConfig, _worker_order=None) -> RunTrace:
     measured_sigma = None
     sigma_per_worker = None
     x = initial_point(config, d)
+    # the run's one Generator: calibration's stream, then re-keyed for every
+    # (worker, iteration) of the round loop
+    stream = worker_stream(seed, 0, 0, LANE_AUX)
     if config.oracle.kind == "minibatch" and config.oracle.calibration_draws > 0:
         measured_sigma, sigma_per_worker = oracle.calibrate(
-            x, config.oracle.calibration_draws, worker_stream(seed, 0, 0, LANE_AUX)
+            x, config.oracle.calibration_draws, stream
         )
     elif config.oracle.kind == "gaussian":
         measured_sigma = config.oracle.sigma
@@ -366,9 +372,11 @@ def run(config: RunConfig, _worker_order=None) -> RunTrace:
         grad_norm = float(np.linalg.norm(exact))
 
         for i in order:
-            # one stream per (worker, iteration); the oracle draws first,
-            # then the d stochastic-rounding draws go into row i
-            stream = worker_stream(seed, i, t)
+            # one stream per (worker, iteration), re-keyed into the run's one
+            # Generator: the oracle draws first, then the d stochastic-rounding
+            # draws go into row i.  Both finish before the next worker's
+            # re-key, and draw() keeps no reference to the stream.
+            worker_stream(seed, i, t, into=stream)
             draws[i] = oracle.draw(i, stream)
             if b > 1:
                 stream.random(out=uniforms[i])
@@ -448,7 +456,7 @@ def theory_report_for(trace: RunTrace) -> theory.TheoryReport:
     config = trace.config
     obj = build_objective(config.objective)
     L, mu = obj.constants()
-    alpha = 1.0 - 2.0 * mu * config.eta + L * mu * config.eta**2
+    alpha = alpha_closed_form(config.eta, L, mu)
     contractive = 0.0 < alpha < 1.0
     sigma = trace.measured_sigma if trace.measured_sigma is not None else 0.0
 

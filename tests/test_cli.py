@@ -121,6 +121,30 @@ def test_logistic_dataset_too_big_for_memory_rejected_with_line():
     assert (spec.run.objective.n, spec.run.objective.d) == (2000, 30000)
 
 
+def test_seed_and_worker_count_limited_to_the_stream_key_with_line():
+    # a seed of 2**64 would alias seed 0, and worker 2**24 has no key
+    with pytest.raises(ConfigError) as err:
+        parse_config("[run]\nW = 16777217\n\nseed = 18446744073709551616\n")
+    w_msg, seed_msg = err.value.errors
+    assert w_msg.startswith("line 2: [run] W:") and "16777216" in w_msg
+    assert seed_msg.startswith("line 4: [run] seed:") and "18446744073709551615" in seed_msg
+    spec = parse_config("[run]\nW = 16777216\nseed = 18446744073709551615\n")
+    assert (spec.run.W, spec.run.seed) == (2**24, 2**64 - 1)
+    with pytest.raises(ConfigError) as err:
+        parse_config("[run]\nT = 4294967297\n")
+    assert err.value.errors[0].startswith("line 2: [run] T:")
+
+
+def test_seed_flags_limited_like_the_config(tmp_path):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(MINIMAL + "\n[run]\nT = 5\n")
+    out = str(tmp_path / "o")
+    for flags in (["--seed", str(2**64)], ["--seed", "-1"], ["--seeds", f"0..{2**31}"]):
+        verb = "compare" if flags[0] == "--seeds" else "run"
+        assert main([verb, "--config", str(cfg), "--out", out, *flags]) == EXIT_USAGE
+    assert main(["run", "--config", str(cfg), "--out", out, "--seed", str(2**64 - 1)]) == EXIT_OK
+
+
 def test_isotropic_quadratic_accepted_up_to_a_million():
     spec = parse_config("[objective]\nkind = quadratic-isotropic\nd = 1000000\n")
     assert spec.run.objective.d == 10**6

@@ -348,3 +348,27 @@ def test_exact_gradient_computed_once_per_round(monkeypatch):
     monkeypatch.setattr(obj, "gradient", lambda x: calls.append(x) or gradient(x), raising=False)
     run(config)
     assert len(calls) == config.T
+
+
+def test_one_philox_per_run(monkeypatch):
+    # the run's one Generator is re-keyed for every (worker, iteration);
+    # building W * T of them costs ten times as much
+    config = RunConfig(
+        objective=ObjectiveSpec(kind="logistic", d=6, n=80, ridge=0.1, data_seed=2),
+        oracle=OracleSpec(kind="minibatch", batch_size=4, calibration_draws=8),
+        schedule=ScheduleSpec(kind="fixed", bits=6),
+        W=8,
+        T=20,
+        eta=0.3,
+    )
+    built = []
+    philox = np.random.Philox
+
+    def counted(*args, **kwargs):
+        built.append(kwargs)
+        return philox(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Philox", counted)
+    trace = run(config)
+    assert len(built) == 1
+    assert trace.measured_sigma is not None and trace.t.size == config.T

@@ -64,8 +64,10 @@ def lp_norm(values: np.ndarray, p: float) -> float:
 class GradientVector:
     """Dense gradient of dimension d with its l_p norm cached at construction.
 
-    The cached norm uses numpy's pairwise-summation accumulators and is
-    accurate to a few ulp of the exact value.
+    The cached norm is np.linalg.norm's.  For p = 2 that is sqrt(x.dot(x)),
+    a BLAS ddot whose summation order is the BLAS kernel's; p = inf is the
+    largest magnitude, and any other p is summed by numpy's pairwise
+    summation.  Each is accurate to a few ulp of the exact value.
     """
 
     values: np.ndarray

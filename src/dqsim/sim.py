@@ -15,12 +15,27 @@ per-(worker, iteration) Philox streams, so worker evaluation order cannot
 change the trace and any finished run can be replayed bit for bit.  A run
 builds one Generator, its calibration stream, and re-keys it in place for
 each (worker, iteration) rather than building W * T of them.
+
+Every round also records F(x_t) and ||grad F(x_t)|| for the trace, from one
+full-data pass.  Under minibatch sampling no worker reads that pass, so on a
+dataset of at least OVERLAP_ENTRIES entries (n * d), in a process that may
+use two cores, the pass for round t runs on one helper thread while the
+main thread makes the workers' draws, gradients, quantization, codec and
+average; its two products over the design matrix release the GIL.  The
+pass is joined before the divergence guard, the step and the schedule
+update, and if the workers' phase raises, the guard is applied before the
+error is re-raised.  The Gaussian oracle adds its noise to the exact
+gradient, so its runs (and every quadratic) keep the serial order: pass,
+guard, then workers.  Both orders make the same calls on the same data, so
+transcripts are identical.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
+import os
 import time
 from dataclasses import asdict, dataclass, field, replace
 
@@ -72,6 +87,17 @@ __all__ = [
 CSV_HEADER = "t,loss,grad_norm,gbar,bits,round_bits,cum_bits"
 
 DIVERGENCE_FACTOR = 1e6
+
+# A minibatch run whose dataset holds at least this many entries (n * d)
+# computes each round's full-data loss and gradient on a helper thread while
+# the workers sample, quantize and send, when the process may use two cores.
+# The speed of an overlapped round against a serial one, on a 2-core box (one
+# BLAS thread, logistic, 16-row minibatches, medians of 8 to 10 alternating
+# runs): x0.91 at n * d = 10^5, x0.93 at 1.0e6, x0.96 at 4.1e6, x0.74 to x1.32
+# from 5.1e6 to 8.2e6 by shape (slower in 6 of 8 readings), and x1.11 to x1.76
+# at every shape from 1.02e7 to 2.05e7.  Below the crossover the helper waits
+# on the GIL behind the main thread's Python loops.
+OVERLAP_ENTRIES = 10_000_000
 
 
 class DivergenceError(RuntimeError):
@@ -297,6 +323,26 @@ def aggregate(frames: QuantizedBatch) -> np.ndarray:
     return frames.dequantized().mean(axis=0)
 
 
+def _cores() -> int:
+    """Number of cores this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _overlapped(config: RunConfig, obj) -> bool:
+    """Whether run() overlaps each round's full-data pass with its workers.
+
+    Only the minibatch oracle qualifies: no worker reads the exact gradient,
+    while the Gaussian oracle adds its noise to it.
+    """
+    return (
+        config.oracle.kind == "minibatch"
+        and obj.n * obj.d >= OVERLAP_ENTRIES
+        and _cores() >= 2
+    )
+
+
 def run(config: RunConfig, _worker_order=None) -> RunTrace:
     """Execute T synchronous rounds of quantized distributed SGD.
 
@@ -320,12 +366,6 @@ def run(config: RunConfig, _worker_order=None) -> RunTrace:
     # the run's one Generator: calibration's stream, then re-keyed for every
     # (worker, iteration) of the round loop
     stream = worker_stream(seed, 0, 0, LANE_AUX)
-    if config.oracle.kind == "minibatch" and config.oracle.calibration_draws > 0:
-        measured_sigma, sigma_per_worker = oracle.calibrate(
-            x, config.oracle.calibration_draws, stream
-        )
-    elif config.oracle.kind == "gaussian":
-        measured_sigma = config.oracle.sigma
 
     ewu_cfg = {}
 
@@ -335,10 +375,7 @@ def run(config: RunConfig, _worker_order=None) -> RunTrace:
         return ewu_cfg[bits]
 
     cols = {name: [] for name in _COMPARED_FIELDS}
-    f_t, exact = obj.loss_and_gradient(x)
-    b = schedule.start(f_t)
     cum_bits = 0
-    guard = DIVERGENCE_FACTOR * max(f_t, 1.0)
     draws = [None] * W
     uniforms = np.empty((W, d))
 
@@ -361,51 +398,101 @@ def run(config: RunConfig, _worker_order=None) -> RunTrace:
             diverged=diverged,
         )
 
-    for t in range(T):
-        if t > 0:
-            f_t, exact = obj.loss_and_gradient(x)
+    pool = None
+    if _overlapped(config, obj):
+        from concurrent.futures import ThreadPoolExecutor
+
+        pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="dqsim-full-pass")
+
+    def full_pass(point: np.ndarray):
+        """Start F and grad F at point; the returned callable waits for them.
+
+        Only loss_and_gradient runs on the helper, and it calls no other
+        method of the objective: the benchmark's spans (bench/tracing.py)
+        wrap loss, gradient, loss_on and gradient_on with one stack for all
+        threads.
+        """
+        if pool is None:
+            value = obj.loss_and_gradient(point)
+            return lambda: value
+        return pool.submit(obj.loss_and_gradient, point).result
+
+    def checked(t: int, join):
+        f_t, exact = join()
         if not np.isfinite(f_t) or f_t > guard:
             raise DivergenceError(
                 f"loss {f_t} at iteration {t} tripped the divergence guard",
                 partial_trace(True, f_t),
             )
-        grad_norm = float(np.linalg.norm(exact))
+        return f_t, exact
 
-        for i in order:
-            # one stream per (worker, iteration), re-keyed into the run's one
-            # Generator: the oracle draws first, then the d stochastic-rounding
-            # draws go into row i.  Both finish before the next worker's
-            # re-key, and draw() keeps no reference to the stream.
-            worker_stream(seed, i, t, into=stream)
-            draws[i] = oracle.draw(i, stream)
-            if b > 1:
-                stream.random(out=uniforms[i])
-        grads = oracle.gradients(x, draws, exact)
-        if b == 1:
-            sent = sign_quantize(grads, b_pre=config.b_pre)
-        else:
-            sent = quantize(grads, cfg_for(b), uniforms)
-        data = encode(sent)
-        if len(data) != W * frame_bytes(d, b, config.b_pre):
-            raise RuntimeError("codec produced frames inconsistent with accounting")
-        received = decode(data, d, cfg_for(b), W)
+    # leaving the block joins a pending pass, also on an exception
+    with pool or contextlib.nullcontext():
+        join = full_pass(x)
+        if config.oracle.kind == "minibatch" and config.oracle.calibration_draws > 0:
+            measured_sigma, sigma_per_worker = oracle.calibrate(
+                x, config.oracle.calibration_draws, stream
+            )
+        elif config.oracle.kind == "gaussian":
+            measured_sigma = config.oracle.sigma
+        f_t, exact = join()
+        b = schedule.start(f_t)
+        guard = DIVERGENCE_FACTOR * max(f_t, 1.0)
 
-        # Python's float power, not numpy's square: the two round some float64
-        # norms differently in the last bit, and gbar is defined by the former
-        gbar = float(np.sqrt(np.mean([norm**2 for norm in received.norms.tolist()])))
-        x = x - eta * aggregate(received)
+        for t in range(T):
+            if t > 0:
+                join = full_pass(x)
+            exact = None  # the minibatch oracle reads no exact gradient
+            if pool is None:
+                # the serial order: the Gaussian oracle adds its noise to the
+                # exact gradient, and a diverged point sends no frames
+                f_t, exact = checked(t, join)
+            try:
+                for i in order:
+                    # one stream per (worker, iteration), re-keyed into the
+                    # run's one Generator: the oracle draws first, then the d
+                    # stochastic-rounding draws go into row i.  Both finish
+                    # before the next worker's re-key, and draw() keeps no
+                    # reference to the stream.
+                    worker_stream(seed, i, t, into=stream)
+                    draws[i] = oracle.draw(i, stream)
+                    if b > 1:
+                        stream.random(out=uniforms[i])
+                grads = oracle.gradients(x, draws, exact)
+                if b == 1:
+                    sent = sign_quantize(grads, b_pre=config.b_pre)
+                else:
+                    sent = quantize(grads, cfg_for(b), uniforms)
+                data = encode(sent)
+                if len(data) != W * frame_bytes(d, b, config.b_pre):
+                    raise RuntimeError("codec produced frames inconsistent with accounting")
+                received = decode(data, d, cfg_for(b), W)
 
-        round_bits = W * (d * b + config.b_pre)
-        cum_bits += round_bits
-        cols["t"].append(t)
-        cols["loss"].append(f_t)
-        cols["grad_norm"].append(grad_norm)
-        cols["gbar"].append(gbar)
-        cols["bits"].append(b)
-        cols["round_bits"].append(round_bits)
-        cols["cum_bits"].append(cum_bits)
+                # Python's float power, not numpy's square: the two round some
+                # float64 norms differently in the last bit, and gbar is
+                # defined by the former
+                gbar = float(np.sqrt(np.mean([norm**2 for norm in received.norms.tolist()])))
+                mean = aggregate(received)
+            except Exception:
+                # at a diverged point the guard's error comes first, as it
+                # does when the pass runs before the workers
+                checked(t, join)
+                raise
+            f_t, exact = checked(t, join)
+            grad_norm = float(np.linalg.norm(exact))
+            x = x - eta * mean
 
-        b = schedule.update(t, f_t, gbar)
+            round_bits = W * (d * b + config.b_pre)
+            cum_bits += round_bits
+            cols["t"].append(t)
+            cols["loss"].append(f_t)
+            cols["grad_norm"].append(grad_norm)
+            cols["gbar"].append(gbar)
+            cols["bits"].append(b)
+            cols["round_bits"].append(round_bits)
+            cols["cum_bits"].append(cum_bits)
+
+            b = schedule.update(t, f_t, gbar)
 
     final_loss = obj.loss(x)
     if not np.isfinite(final_loss) or final_loss > guard:

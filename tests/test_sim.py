@@ -2,10 +2,13 @@
 
 import json
 import math
+import threading
 
 import numpy as np
 import pytest
 
+from dqsim import sim
+from dqsim.objective import LogisticObjective
 from dqsim.quant import (
     GradientVector,
     QuantizedBatch,
@@ -276,6 +279,157 @@ def test_divergence_aborts_with_diagnostic_trace():
     assert partial.diverged
     assert partial.t.size < 60
     assert np.all(np.isfinite(partial.loss))
+
+
+# ---------------------------------------------------------------------------
+# the full-data pass beside the workers' phase
+# ---------------------------------------------------------------------------
+
+SERIAL = 10**30  # OVERLAP_ENTRIES no dataset reaches
+OVERLAPPED = 0  # OVERLAP_ENTRIES every dataset reaches
+
+
+def minibatch_config(**kwargs):
+    defaults = dict(
+        objective=ObjectiveSpec(kind="logistic", d=20, n=400, ridge=0.1, data_seed=11),
+        oracle=OracleSpec(kind="minibatch", batch_size=8, calibration_draws=4),
+        schedule=ScheduleSpec(kind="fixed", bits=6),
+        W=4,
+        T=30,
+        eta=0.3,
+        x0="zeros",
+    )
+    defaults.update(kwargs)
+    return RunConfig(**defaults)
+
+
+@pytest.fixture
+def callers(monkeypatch):
+    """{method name: names of the threads that called it} for the logistic
+    objective's full-data methods; the gate sees two cores."""
+    seen = {}
+    for name in ("loss", "gradient", "loss_on", "gradient_on", "loss_and_gradient"):
+
+        def spied(*args, _method=getattr(LogisticObjective, name), _name=name, **kwargs):
+            seen.setdefault(_name, set()).add(threading.current_thread().name)
+            return _method(*args, **kwargs)
+
+        monkeypatch.setattr(LogisticObjective, name, spied)
+    monkeypatch.setattr(sim, "_cores", lambda: 2)
+    return seen
+
+
+def helper_ran(callers) -> bool:
+    main = threading.main_thread().name
+    return any(name != main for name in callers.get("loss_and_gradient", ()))
+
+
+def diverging_minibatch_config():
+    # eta = 1e40 sends x_1 to about 1e40: F(x_1) trips the guard, and the
+    # round-1 gradient norms overflow a float32 wire norm
+    return RunConfig(
+        objective=ObjectiveSpec(kind="logistic", d=20, n=400, ridge=0.1, data_seed=11),
+        oracle=OracleSpec(kind="minibatch", batch_size=8, calibration_draws=4),
+        schedule=ScheduleSpec(kind="fixed", bits=6),
+        W=4,
+        T=60,
+        eta=1e40,
+        b_pre=32,
+        x0="gaussian",
+        x0_scale=10.0,
+    )
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in cast:RuntimeWarning")
+def test_minibatch_divergence_trips_the_guard_on_both_paths(monkeypatch, callers):
+    # with the pass beside the workers, round 1's quantize raises on the
+    # overflowing norms before the pass is joined; the guard still wins
+    partial = []
+    for entries in (SERIAL, OVERLAPPED):
+        monkeypatch.setattr(sim, "OVERLAP_ENTRIES", entries)
+        with pytest.raises(DivergenceError, match="at iteration 1 ") as err:
+            run(diverging_minibatch_config())
+        partial.append(err.value.trace)
+    serial, overlapped = partial
+    assert helper_ran(callers)
+    assert serial.diverged and overlapped.diverged
+    assert trace_csv(overlapped) == trace_csv(serial)
+    assert np.array_equal(overlapped.x_final, serial.x_final)
+    assert overlapped.final_loss == serial.final_loss
+
+
+@pytest.mark.parametrize("b_pre", [32, 64])
+@pytest.mark.parametrize(
+    "schedule",
+    [
+        ScheduleSpec(kind="fixed", bits=6),
+        ScheduleSpec(kind="dynamic", tau=5, b0=6, alpha_source="closed_form"),
+    ],
+    ids=["fixed6", "dynamic"],
+)
+@pytest.mark.parametrize("W", [1, 5])
+@pytest.mark.parametrize("shard_mode", ["split", "replicate"])
+def test_overlapped_pass_keeps_the_transcript(monkeypatch, callers, shard_mode, W, schedule, b_pre):
+    config = minibatch_config(
+        oracle=OracleSpec(kind="minibatch", batch_size=8, shard_mode=shard_mode, calibration_draws=4),
+        schedule=schedule,
+        W=W,
+        b_pre=b_pre,
+    )
+    traces = []
+    for entries in (SERIAL, OVERLAPPED):
+        monkeypatch.setattr(sim, "OVERLAP_ENTRIES", entries)
+        traces.append(run(config))
+    serial, overlapped = traces
+    assert helper_ran(callers)
+    for name in sim._COMPARED_FIELDS:
+        assert np.array_equal(getattr(overlapped, name), getattr(serial, name)), name
+    assert np.array_equal(overlapped.x_final, serial.x_final)
+    assert overlapped.final_loss == serial.final_loss
+    assert overlapped.measured_sigma == serial.measured_sigma
+    assert overlapped.sigma_per_worker == serial.sigma_per_worker
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in cast:RuntimeWarning")
+def test_overlap_leaves_no_thread_behind(monkeypatch, callers):
+    monkeypatch.setattr(sim, "OVERLAP_ENTRIES", OVERLAPPED)
+    config = minibatch_config()
+    reference = run(config)
+    encode = sim.encode
+    encoded = []
+
+    def failing_encode(batch):
+        encoded.append(batch)
+        if len(encoded) == 3:
+            raise RuntimeError("planted codec failure")
+        return encode(batch)
+
+    before = threading.active_count()
+    run(config)
+    assert threading.active_count() == before
+    replay(reference)
+
+    # the tracebacks keep run()'s frames, and so its executor, alive: the
+    # helper must have been joined, not left to garbage collection
+    with pytest.raises(DivergenceError) as diverged:
+        run(diverging_minibatch_config())
+    assert threading.active_count() == before
+    replay(reference)
+
+    monkeypatch.setattr(sim, "encode", failing_encode)
+    with pytest.raises(RuntimeError, match="planted codec failure") as failed:
+        run(config)
+    monkeypatch.setattr(sim, "encode", encode)
+    assert threading.active_count() == before
+    replay(reference)
+    assert diverged.value.trace.diverged and failed.traceback
+
+    # the benchmark's spans keep one stack for all threads, so only
+    # loss_and_gradient, which is not traced, may run on the helper
+    assert helper_ran(callers)
+    main = {threading.main_thread().name}
+    for name in ("loss", "gradient", "loss_on", "gradient_on"):
+        assert callers[name] == main, name
 
 
 # ---------------------------------------------------------------------------

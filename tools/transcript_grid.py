@@ -38,6 +38,9 @@ ISOTROPIC_D = (1, 4, 50, 37)
 DENSE_D = 30
 LOGISTIC_D = (20, 50, 300)
 LOGISTIC_N = 400  # divisible by every W below
+# n * d at or above dqsim.sim.OVERLAP_ENTRIES: the full-data pass runs beside
+# the workers' phase (on a box with two cores)
+OVERLAP_D, OVERLAP_N, OVERLAP_W, OVERLAP_T = 5000, 2048, 8, 4
 FIXED_BITS = (2, 3, 6, 9, 17, 32)
 B_PRES = (32, 64)
 NORM_ORDERS = (1.0, 2.0, 3.0, float("inf"))
@@ -77,14 +80,14 @@ def grid(sim) -> dict:
     )
     configs = {}
 
-    def add(obj, sched, oracle_name, oracle, W=4, p=2.0, b_pre=32, **extra):
+    def add(obj, sched, oracle_name, oracle, W=4, p=2.0, b_pre=32, rounds=T, **extra):
         key = f"{obj}/{sched}/{oracle_name}/W{W}/p{p:g}/bpre{b_pre}"
         if extra:
             key += "/" + "/".join(f"{k}={v}" for k, v in sorted(extra.items()))
         eta = 0.3 if obj.startswith("logistic") else 0.1
         configs[key] = sim.RunConfig(
             objective=objs[obj], oracle=oracle, schedule=scheds[sched],
-            W=W, T=T, eta=eta, seed=len(configs), p=p, b_pre=b_pre, **extra,
+            W=W, T=rounds, eta=eta, seed=len(configs), p=p, b_pre=b_pre, **extra,
         )
 
     # every objective, schedule and b_pre at W=4, p=2
@@ -118,6 +121,14 @@ def grid(sim) -> dict:
     # a zero gradient at the optimum: every norm is 0
     for sched in ("fixed6", "dynamic-estimate", "sign"):
         add("iso50", sched, "gauss0", exact, x0="zeros")
+    # a dataset large enough that each round's full-data pass overlaps the
+    # workers' phase
+    big = f"logistic{OVERLAP_D}n{OVERLAP_N}"
+    objs[big] = sim.ObjectiveSpec(
+        kind="logistic", d=OVERLAP_D, n=OVERLAP_N, ridge=0.1, data_seed=11
+    )
+    for oracle_name, oracle in (("split", split), ("replicate", replicate)):
+        add(big, "dynamic-closed_form", oracle_name, oracle, W=OVERLAP_W, rounds=OVERLAP_T)
     return configs
 
 

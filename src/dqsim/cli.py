@@ -266,10 +266,12 @@ _SCHEMA = {
 DENSE_QUADRATIC_MAX_D = 5000
 
 # A logistic objective holds its dense n x d design and, while finding its
-# smoothness constant, an SVD copy of it: building one peaks at about 16.5
-# bytes per entry over the imports (measured: 157 MiB at n*d = 5e6, 395 MiB
-# at n*d = 2.05e7, with 77 MiB of imports), so n*d is capped where that
-# reaches about 1 GiB.
+# smoothness constant, the Gram matrix of the design's smaller side: building
+# one peaks at about 8 * (n*d + min(n, d)**2) bytes over the imports, 9 to 10
+# bytes per entry when one side is 5 or more times the other and 17.5 at a
+# square design (measured: 120 MiB at 500 x 10^4, 274 MiB at 2048 x 10^4,
+# 227 MiB at 3000 x 3000, with 77 MiB of imports), so n*d is capped where the
+# square case reaches about 1 GiB.
 LOGISTIC_MAX_ND = 6 * 10**7
 
 _FLOAT_KEYS = {
@@ -348,8 +350,8 @@ def parse_config(text: str) -> ExperimentSpec:
         line = max(first_line.get(("objective", key), 0) for key in ("n", "d"))
         errors.append(
             f"line {line}: [objective] n * d: must be at most {LOGISTIC_MAX_ND} with "
-            f"kind = logistic, got {n} * {d} = {n * d}: the dataset and its SVD need "
-            f"about 16.5 * n * d bytes, 1 GiB at the limit"
+            f"kind = logistic, got {n} * {d} = {n * d}: the dataset and its Gram matrix "
+            f"need up to about 17.5 * n * d bytes, 1 GiB at the limit"
         )
 
     if errors:

@@ -126,13 +126,60 @@ def test_pl_inequalities_for_quadratics():
         assert sq <= 2 * L * gap * (1 + 1e-10) + 1e-12
 
 
-def test_logistic_constants_formula():
-    X, y = make_dataset(50, 4, seed=6)
+def _design(shape):
+    """(X, y) for a named design shape, some of them rank-deficient."""
+    if shape == "duplicated-row":
+        X, y = make_dataset(12, 30, seed=6)
+        X[5], y[5] = X[2], y[2]
+    elif shape == "zero-column":
+        X, y = make_dataset(40, 9, seed=6)
+        X[:, 3] = 0.0
+    else:
+        n, d = {"tall": (50, 4), "wide": (20, 70), "square": (30, 30),
+                "one-row": (1, 7), "one-column": (9, 1)}[shape]
+        X, y = make_dataset(n, d, seed=6)
+    return X, y
+
+
+@pytest.mark.parametrize(
+    "shape", ["tall", "wide", "square", "duplicated-row", "zero-column", "one-row", "one-column"]
+)
+def test_logistic_constants_formula(shape):
+    X, y = _design(shape)
     obj = LogisticObjective(X, y, ridge=0.2)
     op = np.linalg.norm(X, ord=2)
     L, mu = obj.constants()
-    assert L == pytest.approx(op**2 / (4 * 50) + 0.2, rel=1e-12)
+    assert L == pytest.approx(op**2 / (4 * X.shape[0]) + 0.2, rel=1e-12)
     assert mu == 0.2
+
+
+def test_logistic_build_runs_no_svd(monkeypatch):
+    import scipy.linalg
+
+    def no_svd(*args, **kwargs):
+        raise AssertionError("svd called")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    monkeypatch.setattr(scipy.linalg, "svd", no_svd)
+    for shape in ("tall", "wide", "square"):
+        LogisticObjective(*_design(shape), ridge=0.1)
+
+
+@pytest.mark.parametrize("n, d", [(40, 3), (60, 120), (400, 20)])
+def test_logistic_optimum_equals_two_call_minimize(n, d):
+    from scipy.optimize import minimize
+
+    X, y = make_dataset(n, d, seed=21)
+    obj = LogisticObjective(X, y, ridge=0.1)
+    old = minimize(
+        obj.loss,
+        np.zeros(d),
+        jac=obj.gradient,
+        method="L-BFGS-B",
+        options={"gtol": 1e-12, "maxiter": 5000},
+    )
+    assert np.array_equal(obj.optimum(), old.x)
+    assert obj.optimal_value() == obj.loss(old.x)
 
 
 def test_gaussian_oracle_degenerate_noise_is_exact():

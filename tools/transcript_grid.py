@@ -8,11 +8,15 @@ source tree before and after it, then compares the two files:
     python3 tools/transcript_grid.py compare old.json new.json
 
 `hash` imports dqsim from the given src directory, runs every config of the
-grid, and writes {config id: SHA-256} as JSON.  Each hash covers the run's
-trace CSV, x_final, final_loss, final_gap, measured sigma (and its
-per-worker values) and theory_report_for(trace).to_dict(); a run that
-diverges is hashed from its partial trace.  `compare` prints the number of
-configs that differ or are missing on one side and exits 1 if there are any.
+grid, and writes {config id: {"trajectory": SHA-256, "report": SHA-256}} as
+JSON.  The trajectory hash covers the run's trace CSV, x_final, final_loss,
+final_gap, measured sigma (and its per-worker values) and whether it
+diverged; a run that diverges is hashed from its partial trace and has no
+report (null).  The report hash covers theory_report_for(trace).to_dict().
+`compare` lists each config whose trajectory or report differs, prints the
+two counts apart, so that a change which moves only theory constants shows
+its trajectories unchanged, and exits 1 if anything differs or is missing on
+one side.
 
 The hashes depend on the BLAS build and the CPU, so only files made on one
 machine compare; the grid is not part of the test suite for that reason.
@@ -132,10 +136,14 @@ def grid(sim) -> dict:
     return configs
 
 
-def _digest(sim, trace) -> str:
+def _sha256(*parts: bytes) -> str:
     h = hashlib.sha256()
-    h.update(sim.trace_csv(trace).encode())
-    h.update(trace.x_final.tobytes())
+    for part in parts:
+        h.update(part)
+    return h.hexdigest()
+
+
+def _digests(sim, trace) -> dict:
     summary = {
         "final_loss": trace.final_loss,
         "final_gap": trace.final_gap,
@@ -143,10 +151,17 @@ def _digest(sim, trace) -> str:
         "sigma_per_worker": trace.sigma_per_worker,
         "diverged": trace.diverged,
     }
+    trajectory = _sha256(
+        sim.trace_csv(trace).encode(),
+        trace.x_final.tobytes(),
+        json.dumps(summary, sort_keys=True).encode(),
+    )
+    report = None
     if not trace.diverged:
-        summary["theory"] = sim.theory_report_for(trace).to_dict()
-    h.update(json.dumps(summary, sort_keys=True).encode())
-    return h.hexdigest()
+        report = _sha256(
+            json.dumps(sim.theory_report_for(trace).to_dict(), sort_keys=True).encode()
+        )
+    return {"trajectory": trajectory, "report": report}
 
 
 def hash_grid(src: Path, out: Path) -> None:
@@ -160,24 +175,29 @@ def hash_grid(src: Path, out: Path) -> None:
             trace = sim.run(config)
         except sim.DivergenceError as err:
             trace = err.trace
-        hashes[key] = _digest(sim, trace)
+        hashes[key] = _digests(sim, trace)
     out.write_text(json.dumps(hashes, indent=1, sort_keys=True) + "\n")
     print(f"{len(hashes)} configs hashed in {time.perf_counter() - start:.1f} s -> {out}")
 
 
 def compare(a: Path, b: Path) -> int:
     left, right = json.loads(a.read_text()), json.loads(b.read_text())
-    differ = sorted(k for k in left.keys() & right.keys() if left[k] != right[k])
+    both = sorted(left.keys() & right.keys())
+    differ = {
+        part: [k for k in both if left[k][part] != right[k][part]]
+        for part in ("trajectory", "report")
+    }
     missing = sorted(left.keys() ^ right.keys())
-    for key in differ:
-        print(f"differs: {key}")
+    for part, keys in differ.items():
+        for key in keys:
+            print(f"{part} differs: {key}")
     for key in missing:
         print(f"only in {a if key in left else b}: {key}")
     print(
-        f"{len(left.keys() & right.keys())} configs compared, {len(differ)} differ, "
-        f"{len(missing)} on one side only"
+        f"{len(both)} configs compared, {len(differ['trajectory'])} trajectories differ, "
+        f"{len(differ['report'])} reports differ, {len(missing)} on one side only"
     )
-    return 1 if differ or missing else 0
+    return 1 if any(differ.values()) or missing else 0
 
 
 def main(argv=None) -> int:

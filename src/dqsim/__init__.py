@@ -22,8 +22,6 @@ from .quant import (
     QuantizedBatch,
     QuantizedGradient,
     QuantizerConfig,
-    VarianceBudget,
-    aggregate_stats,
     decode,
     dequantize,
     dequantized_draws,
@@ -40,10 +38,8 @@ from .schedule import (
     FixedSchedule,
     SchedulerState,
     SignSchedule,
-    Trend,
     alpha_closed_form,
     alpha_estimate,
-    bits_monotonicity_class,
     budget_satisfaction,
     continuous_bits,
     dq_bits,

@@ -41,12 +41,18 @@ from .sim import (
     RunConfig,
     RunTrace,
     ScheduleSpec,
+    SpecError,
     build_objective,
+    check_choice,
+    check_entries,
+    check_int,
+    check_int_range,
+    config_key,
     run,
     theory_report_for,
     write_trace,
 )
-from .streams import ITER_LIMIT, SEED_LIMIT, STREAM_FORMAT, WORKER_LIMIT
+from .streams import STREAM_FORMAT
 from .verify import VERIFIERS
 
 __all__ = [
@@ -79,15 +85,21 @@ class ConfigError(ValueError):
 class ExperimentSpec:
     """One experiment: what to execute plus the full run configuration."""
 
-    kind: str = "single"  # single | compare | sweep | verify
-    check: str = "lemma1"  # verify suite name
-    sweep: str = "bits"  # bits | schedule
-    sweep_bits: tuple = (2, 3, 4, 5, 6, 7, 8)
-    sweep_schedules: tuple = ("sign", "ternary", "fixed", "dynamic")
-    compare_fixed_bits: int = 6
-    calibration: str = "dynamic-to-fixed"  # none | dynamic-to-fixed | fixed-to-dynamic
-    formats: tuple = ("csv", "json")
-    seeds: tuple = (0, 0)  # inclusive range for multi-seed verbs
+    kind: str = config_key("single", check_choice("single", "compare", "sweep", "verify"))
+    check: str = config_key("lemma1", check_choice(*sorted(VERIFIERS)))  # verify suite name
+    sweep: str = config_key("bits", check_choice("bits", "schedule"))
+    sweep_bits: tuple = config_key((2, 3, 4, 5, 6, 7, 8), check_entries(check_int(2, 32)))
+    sweep_schedules: tuple = config_key(
+        ("sign", "ternary", "fixed", "dynamic"),
+        check_entries(check_choice("sign", "ternary", "fixed", "dynamic")),
+    )
+    compare_fixed_bits: int = config_key(6, check_int(2, 32))
+    calibration: str = config_key(
+        "dynamic-to-fixed", check_choice("none", "dynamic-to-fixed", "fixed-to-dynamic")
+    )
+    formats: tuple = config_key(("csv", "json"), check_entries(check_choice("csv", "json")))
+    # inclusive range for multi-seed verbs
+    seeds: tuple = config_key((0, 0), check_int_range(0, 2**31 - 1))
     run: RunConfig = field(default_factory=RunConfig)
 
 
@@ -132,131 +144,38 @@ def _fmt_value(value) -> str:
     return str(value)
 
 
-def _is_float(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+def _section_specs(spec: ExperimentSpec) -> dict:
+    """Each config section's spec within an experiment, in the text's order."""
+    run = spec.run
+    return {
+        "experiment": spec,
+        "objective": run.objective,
+        "oracle": run.oracle,
+        "run": run,
+        "schedule": run.schedule,
+    }
 
 
-def _check_choice(*choices):
-    def check(v):
-        if v not in choices:
-            return f"must be one of {', '.join(map(str, choices))}, got {v!r}"
-        return None
-
-    return check
-
-
-def _check_range(lo=None, hi=None, lo_open=False, hi_open=False):
-    def check(v):
-        if not _is_float(v):
-            return f"must be a number, got {v!r}"
-        if lo is not None and (v <= lo if lo_open else v < lo):
-            return f"must be {'>' if lo_open else '>='} {lo}, got {v}"
-        if hi is not None and (v >= hi if hi_open else v > hi):
-            return f"must be {'<' if hi_open else '<='} {hi}, got {v}"
-        return None
-
-    return check
-
-
-def _check_int(lo=None, hi=None):
-    def check(v):
-        if isinstance(v, bool) or not isinstance(v, int):
-            return f"must be an integer, got {v!r}"
-        if lo is not None and v < lo:
-            return f"must be >= {lo}, got {v}"
-        if hi is not None and v > hi:
-            return f"must be <= {hi}, got {v}"
-        return None
-
-    return check
-
-
-def _check_int_list(lo, hi):
-    item = _check_int(lo, hi)
-
-    def check(v):
-        if not isinstance(v, list) or not v:
-            return f"must be a non-empty array of integers, got {v!r}"
-        for entry in v:
-            err = item(entry)
-            if err:
-                return err
-        return None
-
-    return check
-
-
-def _check_str_list(*choices):
-    def check(v):
-        if not isinstance(v, list) or not v:
-            return f"must be a non-empty array, got {v!r}"
-        for entry in v:
-            if entry not in choices:
-                return f"entries must be among {choices}, got {entry!r}"
-        return None
-
-    return check
-
-
-# one validator per section/key; parsed values are collected into keyword
-# dicts for the config dataclasses below
-_SCHEMA = {
-    "experiment": {
-        "kind": _check_choice("single", "compare", "sweep", "verify"),
-        "check": _check_choice(*sorted(VERIFIERS)),
-        "sweep": _check_choice("bits", "schedule"),
-        "sweep_bits": _check_int_list(2, 32),
-        "sweep_schedules": _check_str_list("sign", "ternary", "fixed", "dynamic"),
-        "compare_fixed_bits": _check_int(2, 32),
-        "calibration": _check_choice("none", "dynamic-to-fixed", "fixed-to-dynamic"),
-        "formats": _check_str_list("csv", "json"),
-        "seeds": _check_int_list(0, 2**31 - 1),
-    },
-    "objective": {
-        "kind": _check_choice("quadratic-isotropic", "quadratic", "logistic"),
-        "d": _check_int(1, 10**6),
-        "lam": _check_range(lo=0, lo_open=True),
-        "mu": _check_range(lo=0, lo_open=True),
-        "L": _check_range(lo=0, lo_open=True),
-        "hessian_seed": _check_int(0),
-        "n": _check_int(1),
-        "ridge": _check_range(lo=0),
-        "label_noise": _check_range(lo=0),
-        "data_seed": _check_int(0),
-    },
-    "oracle": {
-        "kind": _check_choice("gaussian", "minibatch"),
-        "sigma": _check_range(lo=0),
-        "batch_size": _check_int(1),
-        "shard_mode": _check_choice("split", "replicate"),
-        "calibration_draws": _check_int(0),
-    },
-    "run": {
-        # the random-stream key has 24 bits for the worker, 32 for the
-        # iteration and 64 for the seed; a larger seed would alias a smaller one
-        "W": _check_int(1, WORKER_LIMIT),
-        "T": _check_int(1, ITER_LIMIT),
-        "eta": _check_range(lo=0, lo_open=True),
-        "seed": _check_int(0, SEED_LIMIT - 1),
-        "p": _check_range(lo=0, lo_open=True),
-        "b_pre": _check_choice(32, 64),
-        "x0": _check_choice("ones", "zeros", "gaussian"),
-        "x0_scale": _check_range(),
-        "x0_seed": _check_int(0),
-    },
-    "schedule": {
-        "kind": _check_choice("fixed", "ternary", "sign", "dynamic"),
-        "bits": _check_int(2, 32),
-        "epsilon": _check_range(lo=0, lo_open=True),
-        "gamma": _check_range(lo=0, hi=1, hi_open=True),
-        "tau": _check_int(1),
-        "b_min": _check_int(2, 32),
-        "b_max": _check_int(2, 32),
-        "b0": _check_int(2, 32),
-        "alpha_source": _check_choice("estimate", "closed_form"),
-        "eps_q_hat": _check_range(lo=0, lo_open=True),
-    },
+# each section's keys: its spec's fields that declare a check, in their order
+_KEYS = {
+    section: {f.name: f for f in dataclasses.fields(spec) if "check" in f.metadata}
+    for section, spec in _section_specs(ExperimentSpec()).items()
 }
+
+
+def _key_check(section: str, key: str):
+    return _KEYS[section][key].metadata["check"]
+
+
+def _as_field_type(f: dataclasses.Field, value):
+    """A parsed value in its field's declared type (annotations are strings
+    here, under `from __future__ import annotations`)."""
+    if f.type in ("float", "float | None"):
+        return float(value)
+    if f.type == "tuple":
+        return tuple(value)
+    return value
+
 
 # A dense quadratic (kind = quadratic) holds d x d matrices: building one
 # with random_pd and finding its eigenbasis peaks at about 42 * d**2 bytes
@@ -274,21 +193,6 @@ DENSE_QUADRATIC_MAX_D = 5000
 # square case reaches about 1 GiB.
 LOGISTIC_MAX_ND = 6 * 10**7
 
-_FLOAT_KEYS = {
-    ("objective", "lam"),
-    ("objective", "mu"),
-    ("objective", "L"),
-    ("objective", "ridge"),
-    ("objective", "label_noise"),
-    ("oracle", "sigma"),
-    ("run", "eta"),
-    ("run", "p"),
-    ("run", "x0_scale"),
-    ("schedule", "epsilon"),
-    ("schedule", "gamma"),
-    ("schedule", "eps_q_hat"),
-}
-
 
 def parse_config(text: str) -> ExperimentSpec:
     """Parse and validate config text; raises ConfigError listing every
@@ -305,7 +209,7 @@ def parse_config(text: str) -> ExperimentSpec:
         m = _SECTION_RE.match(line)
         if m:
             section = m.group(1)
-            if section not in _SCHEMA:
+            if section not in _KEYS:
                 errors.append(f"line {lineno}: unknown section [{section}]")
                 section = None
             continue
@@ -317,7 +221,7 @@ def parse_config(text: str) -> ExperimentSpec:
             errors.append(f"line {lineno}: key outside any known section")
             continue
         key, raw_value = m.group(1), m.group(2)
-        if key not in _SCHEMA[section]:
+        if key not in _KEYS[section]:
             errors.append(f"line {lineno}: unknown key {key!r} in [{section}]")
             continue
         slot = (section, key)
@@ -329,13 +233,24 @@ def parse_config(text: str) -> ExperimentSpec:
             continue
         first_line[slot] = lineno
         value = _parse_value(raw_value)
-        err = _SCHEMA[section][key](value)
+        err = _key_check(section, key)(value)
         if err:
             errors.append(f"line {lineno}: [{section}] {key}: {err}")
             continue
-        if slot in _FLOAT_KEYS:
-            value = float(value)
-        values[slot] = value
+        values[slot] = _as_field_type(_KEYS[section][key], value)
+
+    def section_kwargs(name: str) -> dict:
+        return {key: v for (sec, key), v in values.items() if sec == name}
+
+    # a rule across keys is reported at the later of their lines
+    specs = {}
+    nested = {"objective": ObjectiveSpec, "oracle": OracleSpec, "schedule": ScheduleSpec}
+    for name, cls in nested.items():
+        try:
+            specs[name] = cls(**section_kwargs(name))
+        except SpecError as exc:
+            line = max(first_line.get((name, key), 0) for key in exc.keys)
+            errors.append(f"line {line}: [{name}] {exc}")
 
     kind = values.get(("objective", "kind"), ObjectiveSpec.kind)
     d = values.get(("objective", "d"), ObjectiveSpec.d)
@@ -356,62 +271,20 @@ def parse_config(text: str) -> ExperimentSpec:
 
     if errors:
         raise ConfigError(errors)
-
-    def section_kwargs(name: str) -> dict:
-        return {key: v for (sec, key), v in values.items() if sec == name}
-
-    exp_kwargs = section_kwargs("experiment")
-    for key in ("sweep_bits", "sweep_schedules", "formats", "seeds"):
-        if key in exp_kwargs:
-            exp_kwargs[key] = tuple(exp_kwargs[key])
-    if "seeds" in exp_kwargs and len(exp_kwargs["seeds"]) != 2:
-        raise ConfigError(["[experiment] seeds: must be a [first, last] pair"])
-
-    try:
-        config = RunConfig(
-            objective=ObjectiveSpec(**section_kwargs("objective")),
-            oracle=OracleSpec(**section_kwargs("oracle")),
-            schedule=ScheduleSpec(**section_kwargs("schedule")),
-            **section_kwargs("run"),
-        )
-        return ExperimentSpec(run=config, **exp_kwargs)
-    except ValueError as exc:
-        raise ConfigError([str(exc)]) from exc
+    config = RunConfig(**specs, **section_kwargs("run"))
+    return ExperimentSpec(run=config, **section_kwargs("experiment"))
 
 
 def format_config(spec: ExperimentSpec) -> str:
     """Canonical text for a spec; parse_config(format_config(s)) == s."""
     lines: list[str] = []
-
-    def emit(section: str, payload: dict):
+    for section, values in _section_specs(spec).items():
         lines.append(f"[{section}]")
-        for key in _SCHEMA[section]:
-            if key in payload and payload[key] is not None:
-                lines.append(f"{key} = {_fmt_value(payload[key])}")
+        for key in _KEYS[section]:
+            value = getattr(values, key)
+            if value is not None:
+                lines.append(f"{key} = {_fmt_value(value)}")
         lines.append("")
-
-    emit(
-        "experiment",
-        {
-            "kind": spec.kind,
-            "check": spec.check,
-            "sweep": spec.sweep,
-            "sweep_bits": list(spec.sweep_bits),
-            "sweep_schedules": list(spec.sweep_schedules),
-            "compare_fixed_bits": spec.compare_fixed_bits,
-            "calibration": spec.calibration,
-            "formats": list(spec.formats),
-            "seeds": list(spec.seeds),
-        },
-    )
-    emit("objective", dataclasses.asdict(spec.run.objective))
-    emit("oracle", dataclasses.asdict(spec.run.oracle))
-    run_payload = spec.run.to_dict()
-    emit(
-        "run",
-        {k: run_payload[k] for k in _SCHEMA["run"]},
-    )
-    emit("schedule", dataclasses.asdict(spec.run.schedule))
     return "\n".join(lines)
 
 
@@ -733,28 +606,33 @@ def run_experiment(
 # ---------------------------------------------------------------------------
 
 
+def _flag_value(section: str, key: str, value, what: str):
+    """A command-line value checked as its config key is."""
+    err = _key_check(section, key)(value)
+    if err:
+        raise argparse.ArgumentTypeError(f"{what} {err}")
+    return value
+
+
 def _parse_seed(text: str) -> int:
     try:
         seed = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"seed must be an integer, got {text!r}") from None
-    err = _SCHEMA["run"]["seed"](seed)
-    if err:
-        raise argparse.ArgumentTypeError(f"seed {err}")
-    return seed
+    return _flag_value("run", "seed", seed, "seed")
 
 
 def _parse_seed_range(text: str) -> tuple[int, int]:
     m = re.match(r"^(\d+)\.\.(\d+)$", text)
     if not m:
         raise argparse.ArgumentTypeError("seed range must look like 0..49")
-    lo, hi = int(m.group(1)), int(m.group(2))
-    if hi < lo:
-        raise argparse.ArgumentTypeError("seed range must be nondecreasing")
-    err = _SCHEMA["experiment"]["seeds"]([lo, hi])
-    if err:
-        raise argparse.ArgumentTypeError(f"seed range {err}")
-    return lo, hi
+    seeds = (int(m.group(1)), int(m.group(2)))
+    return _flag_value("experiment", "seeds", seeds, "seed range")
+
+
+def _parse_formats(text: str) -> tuple:
+    formats = tuple(f.strip() for f in text.split(",") if f.strip())
+    return _flag_value("experiment", "formats", formats, "format list")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -770,7 +648,9 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--config", required=True, help="config file path")
         p.add_argument("--out", required=True, help="artifact directory")
         p.add_argument("--seed", type=_parse_seed, help="override the run seed")
-        p.add_argument("--format", help="comma-separated subset of csv,json")
+        p.add_argument(
+            "--format", type=_parse_formats, help="comma-separated subset of csv,json"
+        )
 
     common(sub.add_parser("run", help="single run, emit trace + theory report"))
     pc = sub.add_parser("compare", help="paired fixed-vs-dynamic comparison")
@@ -833,12 +713,7 @@ def main(argv: list[str] | None = None) -> int:
     if getattr(args, "seeds", None):
         overrides["seeds"] = args.seeds
     if args.format:
-        formats = tuple(f.strip() for f in args.format.split(",") if f.strip())
-        bad = [f for f in formats if f not in ("csv", "json")]
-        if bad:
-            print(f"error: unknown formats {bad}", file=sys.stderr)
-            return EXIT_USAGE
-        overrides["formats"] = formats
+        overrides["formats"] = args.format
     if args.seed is not None:
         overrides["run"] = spec.run.with_seed(args.seed)
     if overrides:

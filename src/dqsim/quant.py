@@ -29,7 +29,6 @@ __all__ = [
     "QuantizerConfig",
     "QuantizedGradient",
     "QuantizedBatch",
-    "VarianceBudget",
     "FramingError",
     "CorruptionError",
     "lp_norm",
@@ -41,7 +40,6 @@ __all__ = [
     "decode",
     "frame_bytes",
     "variance_bound",
-    "aggregate_stats",
 ]
 
 
@@ -243,41 +241,6 @@ class QuantizedBatch:
         """(W, d) array of norm_i * sign_ij * level_ij / s."""
         scaled_signs = self.norms[:, None] * self.signs.astype(np.float64)
         return scaled_signs * self.levels / self.level_count
-
-
-@dataclass(frozen=True)
-class VarianceBudget:
-    """The two additive noise contributions to the aggregated gradient.
-
-    sampling_term is sigma**2 / W; quantization_term is
-    d * gbar**2 / (4 W (2**(b-1) - 1)**2).  Their sum bounds the trace of the
-    aggregate's covariance.
-    """
-
-    sampling_term: float
-    quantization_term: float
-
-    def __post_init__(self):
-        if self.sampling_term < 0 or self.quantization_term < 0:
-            raise ValueError("variance terms must be nonnegative")
-
-    @classmethod
-    def for_aggregate(
-        cls, sigma: float, W: int, d: int, gbar: float, bits: int
-    ) -> "VarianceBudget":
-        if bits < 2:
-            raise ValueError("quantization term needs bits >= 2")
-        if W < 1:
-            raise ValueError("need at least one worker")
-        s = (1 << (bits - 1)) - 1
-        return cls(
-            sampling_term=sigma * sigma / W,
-            quantization_term=d * gbar * gbar / (4.0 * W * s * s),
-        )
-
-    @property
-    def total(self) -> float:
-        return self.sampling_term + self.quantization_term
 
 
 def _wire_norms(norms: np.ndarray, b_pre: int) -> np.ndarray:
@@ -512,13 +475,3 @@ def variance_bound(cfg: QuantizerConfig, g: GradientVector) -> float:
     s = cfg.levels
     norm = g.cached_norm if g.p == cfg.p else lp_norm(g.values, cfg.p)
     return g.d * norm * norm / (4.0 * s * s)
-
-
-def aggregate_stats(gs: list[GradientVector], W: int | None = None) -> float:
-    """Root-mean-square of the workers' gradient norms (the scale statistic
-    that drives dynamic bit allocation)."""
-    if not gs:
-        raise ValueError("aggregate_stats needs at least one gradient")
-    if W is not None and len(gs) != W:
-        raise ValueError(f"expected {W} gradients, got {len(gs)}")
-    return math.sqrt(sum(g.cached_norm**2 for g in gs) / len(gs))

@@ -14,7 +14,6 @@ stationarity property the audit helpers below check.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, field
 
@@ -23,7 +22,6 @@ import numpy as np
 __all__ = [
     "ALPHA_FLOOR",
     "ALPHA_CEIL",
-    "Trend",
     "SchedulerState",
     "BitSchedule",
     "FixedSchedule",
@@ -33,8 +31,6 @@ __all__ = [
     "alpha_estimate",
     "continuous_bits",
     "dq_bits",
-    "bits_monotonicity_class",
-    "asymptotic_quantization_budget",
     "budget_satisfaction",
     "fixed_bits_for_budget",
 ]
@@ -85,12 +81,6 @@ def continuous_bits(t: int, T: int, eps_q_hat: float, alpha: float, gbar: float)
 
 def _round_half_up(x: float) -> int:
     return math.floor(x + 0.5)
-
-
-class Trend(enum.Enum):
-    DECREASING = "decreasing"
-    INCREASING = "increasing"
-    FLAT = "flat"
 
 
 @dataclass
@@ -149,38 +139,12 @@ class SchedulerState:
         self.alpha = _clamp_alpha(alpha_closed_form(self.eta, self.L, self.mu))
 
 
-def asymptotic_quantization_budget(
-    epsilon: float, L: float, eta: float, sigma: float, W: int, alpha: float
-) -> float:
-    """Large-horizon budget: epsilon minus the sampling-noise floor."""
-    return epsilon - L * eta**2 * sigma**2 / (2.0 * W * (1.0 - alpha))
-
-
 def dq_bits(state: SchedulerState, t: int, gbar: float) -> int:
     """Integer dynamic allocation: continuous rule, half-up, clamped."""
     if gbar <= 0:
         return state.b_min
     b = continuous_bits(t, state.T, state.eps_q_hat, state.alpha, gbar)
     return min(max(_round_half_up(b), state.b_min), state.b_max)
-
-
-def bits_monotonicity_class(
-    state: SchedulerState, t: int, gbar_t: float, gbar_next: float
-) -> Trend:
-    """Direction of the continuous allocation from step t to t+1.
-
-    The allocation shrinks exactly when the norm statistic decays faster
-    than sqrt(alpha) per step, and grows when it decays slower.
-    """
-    if not gbar_t > 0:
-        raise ValueError("classification needs gbar_t > 0")
-    ratio = gbar_next / gbar_t
-    threshold = math.sqrt(state.alpha)
-    if ratio < threshold:
-        return Trend.DECREASING
-    if ratio > threshold:
-        return Trend.INCREASING
-    return Trend.FLAT
 
 
 def budget_satisfaction(

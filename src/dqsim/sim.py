@@ -35,9 +35,10 @@ from __future__ import annotations
 import contextlib
 import functools
 import json
+import math
 import os
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -60,7 +61,7 @@ from .schedule import (
     alpha_closed_form,
     budget_satisfaction,
 )
-from .streams import LANE_AUX, worker_stream
+from .streams import ITER_LIMIT, LANE_AUX, SEED_LIMIT, WORKER_LIMIT, worker_stream
 
 __all__ = [
     "ObjectiveSpec",
@@ -70,6 +71,14 @@ __all__ = [
     "RunTrace",
     "DivergenceError",
     "ReplayMismatchError",
+    "SpecError",
+    "config_key",
+    "check_fields",
+    "check_choice",
+    "check_number",
+    "check_int",
+    "check_entries",
+    "check_int_range",
     "CSV_HEADER",
     "build_objective",
     "build_oracle",
@@ -120,57 +129,164 @@ class ReplayMismatchError(RuntimeError):
         self.field_name = field_name
 
 
+# ---------------------------------------------------------------------------
+# config keys: each spec field declares its constraint once, in its metadata.
+# The specs check themselves with it, and the config parser, its canonical
+# text and the command-line flags read it from there.
+# ---------------------------------------------------------------------------
+
+
+class SpecError(ValueError):
+    """A spec value that breaks a constraint; keys names the fields involved."""
+
+    def __init__(self, keys: tuple, reason: str):
+        super().__init__(f"{', '.join(keys)}: {reason}")
+        self.keys = keys
+
+
+def config_key(default, check):
+    """A config key: a field whose metadata holds the check for its value.
+
+    A check maps a value to None when it is valid, else to the reason."""
+    return field(default=default, metadata={"check": check})
+
+
+def check_fields(spec) -> None:
+    """Raise SpecError for the first config key of spec that fails its check.
+
+    None passes where it is the key's default (an optional value)."""
+    for f in fields(spec):
+        check = f.metadata.get("check")
+        value = getattr(spec, f.name)
+        if check is None or (value is None and f.default is None):
+            continue
+        err = check(value)
+        if err:
+            raise SpecError((f.name,), err)
+
+
+def check_choice(*choices):
+    def check(v):
+        if v not in choices:
+            return f"must be one of {', '.join(map(str, choices))}, got {v!r}"
+        return None
+
+    return check
+
+
+def check_number(lo=None, hi=None, lo_open=False, hi_open=False, finite=False):
+    """Any number but NaN, within the given bounds (and finite if asked)."""
+
+    def check(v):
+        # v != v holds only for NaN, and unlike math.isnan takes an int of any size
+        if isinstance(v, bool) or not isinstance(v, (int, float)) or v != v:
+            return f"must be a number, got {v!r}"
+        if finite and abs(v) == math.inf:
+            return f"must be finite, got {v}"
+        if lo is not None and (v <= lo if lo_open else v < lo):
+            return f"must be {'>' if lo_open else '>='} {lo}, got {v}"
+        if hi is not None and (v >= hi if hi_open else v > hi):
+            return f"must be {'<' if hi_open else '<='} {hi}, got {v}"
+        return None
+
+    return check
+
+
+def check_int(lo=None, hi=None):
+    def check(v):
+        if isinstance(v, bool) or not isinstance(v, int):
+            return f"must be an integer, got {v!r}"
+        if lo is not None and v < lo:
+            return f"must be >= {lo}, got {v}"
+        if hi is not None and v > hi:
+            return f"must be <= {hi}, got {v}"
+        return None
+
+    return check
+
+
+def check_entries(item):
+    """A non-empty list or tuple whose every entry passes item."""
+
+    def check(v):
+        if not isinstance(v, (list, tuple)) or not v:
+            return f"must be a non-empty array, got {v!r}"
+        for entry in v:
+            err = item(entry)
+            if err:
+                return f"entries {err}"
+        return None
+
+    return check
+
+
+def check_int_range(lo, hi):
+    """An inclusive [first, last] pair of integers in [lo, hi]."""
+    entries = check_entries(check_int(lo, hi))
+
+    def check(v):
+        if not isinstance(v, (list, tuple)) or len(v) != 2:
+            return f"must be a [first, last] pair, got {v!r}"
+        err = entries(v)
+        if err:
+            return err
+        if v[0] > v[1]:
+            return f"first must not exceed last, got {v[0]} > {v[1]}"
+        return None
+
+    return check
+
+
 @dataclass(frozen=True)
 class ObjectiveSpec:
-    kind: str = "quadratic-isotropic"  # quadratic-isotropic | quadratic | logistic
-    d: int = 4
-    lam: float = 1.0  # isotropic curvature
-    mu: float = 1.0  # quadratic spectrum range
-    L: float = 4.0
-    hessian_seed: int = 7
-    n: int = 2000  # logistic dataset size
-    ridge: float = 0.1
-    label_noise: float = 0.2
-    data_seed: int = 11
+    kind: str = config_key(
+        "quadratic-isotropic", check_choice("quadratic-isotropic", "quadratic", "logistic")
+    )
+    d: int = config_key(4, check_int(1, 10**6))
+    lam: float = config_key(1.0, check_number(lo=0, lo_open=True))  # isotropic curvature
+    mu: float = config_key(1.0, check_number(lo=0, lo_open=True))  # quadratic spectrum range
+    L: float = config_key(4.0, check_number(lo=0, lo_open=True))
+    hessian_seed: int = config_key(7, check_int(0))
+    n: int = config_key(2000, check_int(1))  # logistic dataset size
+    ridge: float = config_key(0.1, check_number(lo=0))
+    label_noise: float = config_key(0.2, check_number(lo=0))
+    data_seed: int = config_key(11, check_int(0))
 
     def __post_init__(self):
-        if self.kind not in ("quadratic-isotropic", "quadratic", "logistic"):
-            raise ValueError(f"unknown objective kind {self.kind!r}")
-        if self.d < 1:
-            raise ValueError("dimension must be at least 1")
+        check_fields(self)
 
 
 @dataclass(frozen=True)
 class OracleSpec:
-    kind: str = "gaussian"  # gaussian | minibatch
-    sigma: float = 0.0
-    batch_size: int = 32
-    shard_mode: str = "split"  # split | replicate
-    calibration_draws: int = 64
+    kind: str = config_key("gaussian", check_choice("gaussian", "minibatch"))
+    sigma: float = config_key(0.0, check_number(lo=0))
+    batch_size: int = config_key(32, check_int(1))
+    shard_mode: str = config_key("split", check_choice("split", "replicate"))
+    calibration_draws: int = config_key(64, check_int(0))
 
     def __post_init__(self):
-        if self.kind not in ("gaussian", "minibatch"):
-            raise ValueError(f"unknown oracle kind {self.kind!r}")
-        if self.sigma < 0:
-            raise ValueError("sigma must be nonnegative")
+        check_fields(self)
 
 
 @dataclass(frozen=True)
 class ScheduleSpec:
-    kind: str = "dynamic"  # fixed | ternary | sign | dynamic
-    bits: int = 8  # fixed width
-    epsilon: float = 0.1
-    gamma: float = 0.5
-    tau: int = 100
-    b_min: int = 2
-    b_max: int = 32
-    b0: int = 8
-    alpha_source: str = "estimate"
-    eps_q_hat: float | None = None  # direct budget override
+    kind: str = config_key("dynamic", check_choice("fixed", "ternary", "sign", "dynamic"))
+    bits: int = config_key(8, check_int(2, 32))  # fixed width
+    epsilon: float = config_key(0.1, check_number(lo=0, lo_open=True))
+    gamma: float = config_key(0.5, check_number(lo=0, hi=1, hi_open=True))
+    tau: int = config_key(100, check_int(1))
+    b_min: int = config_key(2, check_int(2, 32))
+    b_max: int = config_key(32, check_int(2, 32))
+    b0: int = config_key(8, check_int(2, 32))
+    alpha_source: str = config_key("estimate", check_choice("estimate", "closed_form"))
+    # direct budget override
+    eps_q_hat: float | None = config_key(None, check_number(lo=0, lo_open=True))
 
     def __post_init__(self):
-        if self.kind not in ("fixed", "ternary", "sign", "dynamic"):
-            raise ValueError(f"unknown schedule kind {self.kind!r}")
+        check_fields(self)
+        if self.b_min > self.b_max:
+            reason = f"must satisfy b_min <= b_max, got {self.b_min} > {self.b_max}"
+            raise SpecError(("b_min", "b_max"), reason)
 
 
 @dataclass(frozen=True)
@@ -178,25 +294,20 @@ class RunConfig:
     objective: ObjectiveSpec = field(default_factory=ObjectiveSpec)
     oracle: OracleSpec = field(default_factory=OracleSpec)
     schedule: ScheduleSpec = field(default_factory=ScheduleSpec)
-    W: int = 8
-    T: int = 200
-    eta: float = 0.1
-    seed: int = 0
-    p: float = 2.0
-    b_pre: int = 32
-    x0: str = "ones"  # ones | zeros | gaussian
-    x0_scale: float = 1.0
-    x0_seed: int = 12345
+    # the random-stream key has 24 bits for the worker, 32 for the iteration
+    # and 64 for the seed; a larger seed would alias a smaller one
+    W: int = config_key(8, check_int(1, WORKER_LIMIT))
+    T: int = config_key(200, check_int(1, ITER_LIMIT))
+    eta: float = config_key(0.1, check_number(lo=0, lo_open=True))
+    seed: int = config_key(0, check_int(0, SEED_LIMIT - 1))
+    p: float = config_key(2.0, check_number(lo=0, lo_open=True))
+    b_pre: int = config_key(32, check_choice(32, 64))
+    x0: str = config_key("ones", check_choice("ones", "zeros", "gaussian"))
+    x0_scale: float = config_key(1.0, check_number(finite=True))
+    x0_seed: int = config_key(12345, check_int(0))
 
     def __post_init__(self):
-        if self.W < 1 or self.T < 1:
-            raise ValueError("W and T must be at least 1")
-        if not self.eta > 0:
-            raise ValueError("learning rate must be positive")
-        if self.b_pre not in (32, 64):
-            raise ValueError("b_pre must be 32 or 64")
-        if self.x0 not in ("ones", "zeros", "gaussian"):
-            raise ValueError(f"unknown x0 kind {self.x0!r}")
+        check_fields(self)
 
     def to_dict(self) -> dict:
         return asdict(self)

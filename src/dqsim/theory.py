@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quant import GradientVector, QuantizerConfig, VarianceBudget, dequantized_draws
+from .quant import GradientVector, QuantizerConfig, dequantized_draws
 from .schedule import alpha_closed_form
 
 __all__ = [
@@ -211,7 +211,12 @@ def quantization_noise_covariance_trace(
     convergence bound term for term, which is what makes the bound tight in
     the isotropic case.
     """
-    return VarianceBudget.for_aggregate(sigma, W, d, gbar, bits).total
+    if bits < 2:
+        raise ValueError("quantization term needs bits >= 2")
+    if W < 1:
+        raise ValueError("need at least one worker")
+    s = (1 << (bits - 1)) - 1
+    return sigma * sigma / W + d * gbar * gbar / (4.0 * W * s * s)
 
 
 def am_alpha(alpha: float, T: int) -> float:

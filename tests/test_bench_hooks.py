@@ -1,9 +1,10 @@
-"""The names the benchmark (bench/) patches and calls still exist and are
-still called the way it expects, so that a refactor which breaks them fails
-here rather than in a benchmark run."""
+"""The names the benchmark (bench/) imports, patches and calls still exist and
+are still called the way it expects, so that a refactor which breaks them
+fails here rather than in a benchmark run."""
 
 import dataclasses
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -12,7 +13,7 @@ from dqsim import cli
 from dqsim.cli import ExperimentSpec
 from dqsim.sim import ObjectiveSpec, OracleSpec, RunConfig, ScheduleSpec
 
-TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 TINY = ExperimentSpec(
     kind="compare",
@@ -28,10 +29,33 @@ TINY = ExperimentSpec(
 
 
 def _load_tracing():
-    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+    spec = importlib.util.spec_from_file_location("bench_tracing", BENCH / "tracing.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture
+def workloads(monkeypatch):
+    """bench/workloads.py, loaded by path after the bench/checks.py it imports.
+
+    Both are registered in sys.modules while the test runs, as dataclasses
+    need for a module's string annotations."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    for name in ("checks", "workloads"):
+        spec = importlib.util.spec_from_file_location(name, BENCH / f"{name}.py")
+        module = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, name, module)
+        spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("n", [0, 401])
+def test_every_workload_spec_round_trips_through_the_config_text(workloads, n):
+    assert workloads.WORKLOADS
+    for workload in workloads.WORKLOADS.values():
+        spec = workload.spec_for(workloads.SEED_STRIDE * n)
+        assert cli.parse_config(cli.format_config(spec)) == spec
 
 
 def test_every_span_target_exists():

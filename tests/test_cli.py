@@ -145,6 +145,58 @@ def test_seed_flags_limited_like_the_config(tmp_path):
     assert main(["run", "--config", str(cfg), "--out", out, "--seed", str(2**64 - 1)]) == EXIT_OK
 
 
+def test_seed_range_must_be_an_ordered_pair_with_line():
+    # a reversed range used to parse and leave compare with zero seeds
+    with pytest.raises(ConfigError) as err:
+        parse_config("[experiment]\nseeds = [5, 3]\n\n[schedule]\ngamma = 2.0\n")
+    seeds_msg, gamma_msg = err.value.errors
+    assert seeds_msg.startswith("line 2: [experiment] seeds:") and "5 > 3" in seeds_msg
+    assert gamma_msg.startswith("line 5: [schedule] gamma:")
+    with pytest.raises(ConfigError) as err:
+        parse_config("[experiment]\nkind = compare\nseeds = [1, 2, 3]\n")
+    assert err.value.errors[0].startswith("line 3: [experiment] seeds:")
+    assert parse_config("[experiment]\nseeds = [3, 3]\n").seeds == (3, 3)
+
+
+@pytest.mark.parametrize(
+    "section,key,spec",
+    [
+        ("objective", "lam", ObjectiveSpec),
+        ("oracle", "sigma", OracleSpec),
+        ("run", "eta", RunConfig),
+        ("schedule", "gamma", ScheduleSpec),
+    ],
+)
+def test_nan_rejected_by_parser_and_spec(section, key, spec):
+    with pytest.raises(ConfigError) as err:
+        parse_config(f"[{section}]\n{key} = nan\n")
+    (msg,) = err.value.errors
+    assert msg.startswith(f"line 2: [{section}] {key}:") and "nan" in msg
+    with pytest.raises(ValueError):
+        spec(**{key: float("nan")})
+
+
+def test_x0_scale_must_be_finite_while_p_may_be_inf():
+    with pytest.raises(ConfigError) as err:
+        parse_config("[run]\nx0_scale = inf\n")
+    assert err.value.errors[0].startswith("line 2: [run] x0_scale:")
+    # the max-norm stays accepted
+    assert parse_config("[run]\np = inf\n").run.p == float("inf")
+
+
+def test_b_min_above_b_max_rejected_at_the_later_line():
+    with pytest.raises(ConfigError) as err:
+        parse_config("[schedule]\nb_min = 12\n\nb_max = 4\n")
+    (msg,) = err.value.errors
+    assert msg.startswith("line 4: [schedule] b_min, b_max:") and "12 > 4" in msg
+    with pytest.raises(ConfigError) as err:
+        parse_config("[schedule]\nb_max = 4\nb_min = 12\n")
+    assert err.value.errors[0].startswith("line 3: [schedule]")
+    with pytest.raises(ValueError):
+        ScheduleSpec(b_min=12, b_max=4)
+    assert parse_config("[schedule]\nb_min = 12\n").run.schedule.b_min == 12
+
+
 def test_isotropic_quadratic_accepted_up_to_a_million():
     spec = parse_config("[objective]\nkind = quadratic-isotropic\nd = 1000000\n")
     assert spec.run.objective.d == 10**6

@@ -9,8 +9,6 @@ from dqsim.quant import (
     GradientVector,
     QuantizerConfig,
     QuantizedGradient,
-    VarianceBudget,
-    aggregate_stats,
     dequantize,
     dequantized_draws,
     lp_norm,
@@ -18,6 +16,7 @@ from dqsim.quant import (
     sign_quantize,
     variance_bound,
 )
+from dqsim.theory import quantization_noise_covariance_trace
 
 
 def rng_for(seed):
@@ -210,20 +209,17 @@ def test_variance_bound_strictly_decreases_in_bits():
 
 
 def test_variance_budget_terms():
-    vb = VarianceBudget.for_aggregate(sigma=2.0, W=8, d=16, gbar=1.5, bits=4)
-    assert vb.sampling_term == pytest.approx(0.5, rel=1e-15)
-    assert vb.quantization_term == pytest.approx(16 * 2.25 / (32 * 49), rel=1e-15)
-    assert vb.total == vb.sampling_term + vb.quantization_term
+    # sampling term sigma**2 / W plus quantization term d gbar**2 / (4 W s**2)
+    sampling = quantization_noise_covariance_trace(2.0, 8, 16, 0.0, 4)
+    quantization = quantization_noise_covariance_trace(0.0, 8, 16, 1.5, 4)
+    assert sampling == pytest.approx(0.5, rel=1e-15)
+    assert quantization == pytest.approx(16 * 2.25 / (32 * 49), rel=1e-15)
+    assert quantization_noise_covariance_trace(2.0, 8, 16, 1.5, 4) == sampling + quantization
     # quantization term strictly decreasing in the bit width
-    terms = [
-        VarianceBudget.for_aggregate(1.0, 4, 8, 1.0, b).quantization_term
-        for b in range(2, 16)
-    ]
+    terms = [quantization_noise_covariance_trace(0.0, 4, 8, 1.0, b) for b in range(2, 16)]
     assert all(a > b for a, b in zip(terms, terms[1:]))
     with pytest.raises(ValueError):
-        VarianceBudget(-1.0, 0.0)
-    with pytest.raises(ValueError):
-        VarianceBudget.for_aggregate(1.0, 4, 8, 1.0, 1)
+        quantization_noise_covariance_trace(1.0, 4, 8, 1.0, 1)
 
 
 @pytest.mark.parametrize("d", [1, 4, 64])
@@ -268,32 +264,6 @@ def test_high_precision_fidelity_at_32_bits():
 # ---------------------------------------------------------------------------
 # norm statistics
 # ---------------------------------------------------------------------------
-
-
-def test_aggregate_stats_identical_vectors():
-    g = GradientVector([3.0, 4.0])
-    assert aggregate_stats([g, g, g]) == pytest.approx(5.0, rel=1e-15)
-
-
-def test_aggregate_stats_two_norms():
-    gs = [GradientVector([3.0, 0.0]), GradientVector([0.0, 4.0])]
-    assert aggregate_stats(gs, W=2) == pytest.approx(math.sqrt(12.5), rel=1e-15)
-
-
-def test_aggregate_stats_against_brute_force():
-    rng = rng_for(8)
-    gs = [GradientVector(rng.standard_normal(9)) for _ in range(13)]
-    brute = math.sqrt(
-        math.fsum(math.fsum(x * x for x in g.values) for g in gs) / len(gs)
-    )
-    assert aggregate_stats(gs) == pytest.approx(brute, rel=1e-12)
-
-
-def test_aggregate_stats_errors():
-    with pytest.raises(ValueError):
-        aggregate_stats([])
-    with pytest.raises(ValueError):
-        aggregate_stats([GradientVector([1.0])], W=2)
 
 
 def test_lp_norm_general_orders():

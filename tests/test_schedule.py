@@ -12,11 +12,8 @@ from dqsim.schedule import (
     FixedSchedule,
     SchedulerState,
     SignSchedule,
-    Trend,
     alpha_closed_form,
     alpha_estimate,
-    asymptotic_quantization_budget,
-    bits_monotonicity_class,
     budget_satisfaction,
     continuous_bits,
     dq_bits,
@@ -119,39 +116,6 @@ def test_monotone_response_of_continuous_rule():
 
 
 # ---------------------------------------------------------------------------
-# monotonicity classification
-# ---------------------------------------------------------------------------
-
-
-def test_trend_examples():
-    state = make_state()
-    state.alpha = 0.81
-    assert bits_monotonicity_class(state, 0, 1.0, 0.9) is Trend.FLAT
-    assert bits_monotonicity_class(state, 0, 1.0, 0.5) is Trend.DECREASING
-    assert bits_monotonicity_class(state, 0, 1.0, 0.95) is Trend.INCREASING
-
-
-def test_trend_matches_continuous_difference():
-    rng = np.random.default_rng(1)
-    state = make_state(T=50, eps_q_hat=2.0)
-    for _ in range(300):
-        alpha = float(rng.uniform(0.2, 0.999))
-        ratio = float(rng.uniform(0.3, 1.5))
-        state.alpha = alpha
-        gbar = float(rng.uniform(0.1, 5.0))
-        t = int(rng.integers(0, 49))
-        cls = bits_monotonicity_class(state, t, gbar, ratio * gbar)
-        b_now = continuous_bits(t, 50, 2.0, alpha, gbar)
-        b_next = continuous_bits(t + 1, 50, 2.0, alpha, ratio * gbar)
-        if cls is Trend.DECREASING:
-            assert b_next < b_now
-        elif cls is Trend.INCREASING:
-            assert b_next > b_now
-        else:
-            assert b_next == pytest.approx(b_now, rel=1e-12)
-
-
-# ---------------------------------------------------------------------------
 # budgets
 # ---------------------------------------------------------------------------
 
@@ -166,13 +130,13 @@ def test_budget_split_examples():
 
 def test_asymptotic_budget_split():
     # choosing gamma = L eta^2 sigma^2 / (2 W (1-alpha) epsilon) makes the
-    # quantization budget equal the epsilon-minus-noise-floor form
+    # quantization budget equal the large-horizon form: epsilon minus the
+    # sampling-noise floor
     L, eta, sigma, W, alpha, eps = 1.0, 0.1, 2.0, 8, 0.84, 0.1
     gamma = L * eta**2 * sigma**2 / (2 * W * (1 - alpha)) / eps
     state = make_state(W=W, eta=eta, L=L, epsilon=eps, gamma=gamma)
-    assert state.eps_q == pytest.approx(
-        asymptotic_quantization_budget(eps, L, eta, sigma, W, alpha), rel=1e-12
-    )
+    noise_floor = L * eta**2 * sigma**2 / (2.0 * W * (1.0 - alpha))
+    assert state.eps_q == pytest.approx(eps - noise_floor, rel=1e-12)
 
 
 def test_budget_satisfaction_trivial_values():

@@ -18,7 +18,6 @@ from .objective import (
 from .quant import (
     CorruptionError,
     FramingError,
-    GradientVector,
     QuantizedBatch,
     QuantizedGradient,
     QuantizerConfig,

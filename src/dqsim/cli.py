@@ -115,7 +115,10 @@ _INT_RE = re.compile(r"^[+-]?\d+$")
 def _parse_scalar(token: str):
     token = token.strip()
     if _INT_RE.match(token):
-        return int(token)
+        try:
+            return int(token)
+        except ValueError:  # past Python's digit limit: text, which no check takes
+            return token
     if token in ("true", "false"):
         return token == "true"
     try:
@@ -242,14 +245,17 @@ def parse_config(text: str) -> ExperimentSpec:
     def section_kwargs(name: str) -> dict:
         return {key: v for (sec, key), v in values.items() if sec == name}
 
-    # a rule across keys is reported at the later of their lines
+    def later_line(*slots) -> int:
+        """A rule across keys is reported at the later of their lines."""
+        return max(first_line.get(slot, 0) for slot in slots)
+
     specs = {}
     nested = {"objective": ObjectiveSpec, "oracle": OracleSpec, "schedule": ScheduleSpec}
     for name, cls in nested.items():
         try:
             specs[name] = cls(**section_kwargs(name))
         except SpecError as exc:
-            line = max(first_line.get((name, key), 0) for key in exc.keys)
+            line = later_line(*((name, key) for key in exc.keys))
             errors.append(f"line {line}: [{name}] {exc}")
 
     kind = values.get(("objective", "kind"), ObjectiveSpec.kind)
@@ -262,11 +268,27 @@ def parse_config(text: str) -> ExperimentSpec:
         )
     n = values.get(("objective", "n"), ObjectiveSpec.n)
     if kind == "logistic" and n * d > LOGISTIC_MAX_ND:
-        line = max(first_line.get(("objective", key), 0) for key in ("n", "d"))
+        line = later_line(("objective", "n"), ("objective", "d"))
         errors.append(
             f"line {line}: [objective] n * d: must be at most {LOGISTIC_MAX_ND} with "
             f"kind = logistic, got {n} * {d} = {n * d}: the dataset and its Gram matrix "
             f"need up to about 17.5 * n * d bytes, 1 GiB at the limit"
+        )
+
+    oracle = values.get(("oracle", "kind"), OracleSpec.kind)
+    if oracle == "minibatch" and kind != "logistic":
+        line = later_line(("objective", "kind"), ("oracle", "kind"))
+        errors.append(
+            f"line {line}: [oracle] kind: minibatch needs a dataset, so kind = logistic "
+            f"in [objective], got kind = {kind}"
+        )
+    W = values.get(("run", "W"), RunConfig.W)
+    shard_mode = values.get(("oracle", "shard_mode"), OracleSpec.shard_mode)
+    if oracle == "minibatch" and kind == "logistic" and shard_mode == "split" and n % W:
+        line = later_line(("objective", "n"), ("run", "W"), ("oracle", "shard_mode"))
+        errors.append(
+            f"line {line}: [oracle] shard_mode = split: W must divide the dataset size n, "
+            f"got n = {n}, W = {W}; set shard_mode = replicate, or change n or W"
         )
 
     if errors:

@@ -14,8 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quant import GradientVector
-
 __all__ = [
     "QuadraticObjective",
     "LogisticObjective",
@@ -297,7 +295,6 @@ class GradientOracle:
         sigma: float = 0.0,
         batch_size: int = 32,
         shard_mode: str = "split",
-        norm_order: float = 2.0,
     ):
         if workers < 1:
             raise ValueError("need at least one worker")
@@ -310,7 +307,6 @@ class GradientOracle:
         self.noise = noise
         self.sigma = float(sigma)
         self.batch_size = int(batch_size)
-        self.norm_order = norm_order
         self.shards: list[np.ndarray] | None = None
         if noise == "minibatch":
             if not hasattr(objective, "n"):
@@ -397,10 +393,9 @@ class GradientOracle:
         x: np.ndarray,
         rng: np.random.Generator,
         exact: np.ndarray | None = None,
-    ) -> GradientVector:
+    ) -> np.ndarray:
         """One draw for `worker` at x: the batch of one of draw and gradients."""
-        g = self.gradients(x, [self.draw(worker, rng)], exact)[0]
-        return GradientVector(g, p=self.norm_order)
+        return self.gradients(x, [self.draw(worker, rng)], exact)[0]
 
     def calibrate(
         self, x: np.ndarray, draws: int, rng: np.random.Generator

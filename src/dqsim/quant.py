@@ -1,11 +1,11 @@
 """Element-wise uniform stochastic gradient quantization and its wire codec.
 
-A gradient vector is compressed by transmitting its l_p norm at full float
-precision plus, per coordinate, one sign bit and a (b-1)-bit level index into
-a uniform grid of s = 2**(b-1) - 1 steps.  The level is drawn stochastically
-so that dequantization is unbiased.  A separate 1-bit-per-coordinate sign
-codec with mean-absolute-value scaling is provided as the aggressive
-baseline.
+A gradient, a 1-D float array, is compressed by transmitting its l_p norm at
+full float precision plus, per coordinate, one sign bit and a (b-1)-bit level
+index into a uniform grid of s = 2**(b-1) - 1 steps.  The level is drawn
+stochastically so that dequantization is unbiased.  A separate
+1-bit-per-coordinate sign codec with mean-absolute-value scaling is provided
+as the aggressive baseline.
 
 Every codec operation also takes a round's W frames at once, as (W, d)
 arrays in a QuantizedBatch; a single frame is the batch of one, with the same
@@ -19,13 +19,11 @@ and safe to run concurrently with distinct streams.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "GradientVector",
     "QuantizerConfig",
     "QuantizedGradient",
     "QuantizedBatch",
@@ -58,32 +56,6 @@ def lp_norm(values: np.ndarray, p: float) -> float:
     return float(np.linalg.norm(values, ord=p))
 
 
-@dataclass(frozen=True, eq=False)
-class GradientVector:
-    """Dense gradient of dimension d with its l_p norm cached at construction.
-
-    The cached norm is np.linalg.norm's.  For p = 2 that is sqrt(x.dot(x)),
-    a BLAS ddot whose summation order is the BLAS kernel's; p = inf is the
-    largest magnitude, and any other p is summed by numpy's pairwise
-    summation.  Each is accurate to a few ulp of the exact value.
-    """
-
-    values: np.ndarray
-    p: float = 2.0
-    cached_norm: float = field(init=False)
-
-    def __post_init__(self):
-        values = np.atleast_1d(np.asarray(self.values, dtype=np.float64))
-        if values.ndim != 1 or values.size < 1:
-            raise ValueError("gradient must be a 1-D vector with d >= 1")
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "cached_norm", lp_norm(values, self.p))
-
-    @property
-    def d(self) -> int:
-        return self.values.size
-
-
 @dataclass(frozen=True)
 class QuantizerConfig:
     """Codec parameters: bit width b, norm order p, and norm precision b_pre.
@@ -104,14 +76,6 @@ class QuantizerConfig:
             raise ValueError(f"b_pre must be 32 or 64, got {self.b_pre}")
         if not self.p > 0:
             raise ValueError(f"norm order must be positive, got {self.p}")
-
-    @classmethod
-    def sign_only(cls, p: float = 2.0, b_pre: int = 32) -> "QuantizerConfig":
-        return cls(bits=1, p=p, b_pre=b_pre)
-
-    @property
-    def is_sign_only(self) -> bool:
-        return self.bits == 1
 
     @property
     def levels(self) -> int:
@@ -201,8 +165,8 @@ class QuantizedBatch:
     norms is a (W,) float64 array of wire-precision norms; signs (int8, each
     +1 or -1) and levels (uint32, each in [0, s]) are (W, d).  Row i
     dequantizes by the QuantizedGradient formula.  Nothing is validated here:
-    quantize, sign_quantize and decode build well-formed batches, stack checks
-    that its frames agree, and encode rejects a level above s.
+    quantize, sign_quantize and decode build well-formed batches, and encode
+    rejects a level above s.
     """
 
     norms: np.ndarray
@@ -210,22 +174,6 @@ class QuantizedBatch:
     levels: np.ndarray
     bits: int
     b_pre: int = 32
-
-    @classmethod
-    def stack(cls, frames: Sequence[QuantizedGradient]) -> "QuantizedBatch":
-        """The batch of frames that share d, bits and b_pre, in the given order."""
-        if not frames:
-            raise ValueError("no frames to stack")
-        first = frames[0]
-        if any((q.d, q.bits, q.b_pre) != (first.d, first.bits, first.b_pre) for q in frames):
-            raise ValueError("frames differ in dimension, bits or b_pre")
-        return cls(
-            np.array([q.norm for q in frames], dtype=np.float64),
-            np.stack([q.signs for q in frames]),
-            np.stack([q.levels for q in frames]),
-            first.bits,
-            first.b_pre,
-        )
 
     @property
     def level_count(self) -> int:
@@ -251,33 +199,20 @@ def _wire_norms(norms: np.ndarray, b_pre: int) -> np.ndarray:
     return norms
 
 
-def _rows(g, p: float | None = None):
-    """(values as a (W, d) array, their l_p norms); one vector is W = 1.
+def _rows(g) -> np.ndarray:
+    """g as a (W, d) float array: a 1-D gradient is the batch of one.
 
-    g is one GradientVector, a sequence of them, or a (W, d) float array of W
-    gradients.  The norms are computed only when p is given.  Row i's norm is
-    gradient i's own 1-D lp_norm (a GradientVector's cached norm when its p
-    matches), so it is the same number whether the row is alone or in a
-    batch.
+    Raises ValueError unless g is a nonempty 1-D gradient or (W, d) array of
+    gradients with every coordinate finite.
     """
-    if isinstance(g, np.ndarray):
-        if g.ndim != 2 or g.size == 0:
-            raise ValueError(f"expected a nonempty (W, d) array of gradients, got {g.shape}")
-        gs, values = None, np.asarray(g, dtype=np.float64)
-    elif isinstance(g, GradientVector):
-        gs, values = [g], g.values[None]
-    else:
-        gs = list(g)
-        if not gs:
-            raise ValueError("no gradients to quantize")
-        values = np.stack([v.values for v in gs])
+    values = np.asarray(g, dtype=np.float64)
+    if values.ndim not in (1, 2) or values.size == 0:
+        raise ValueError(
+            f"expected a nonempty 1-D gradient or (W, d) array of them, got shape {values.shape}"
+        )
     if not np.isfinite(values).all():
         raise ValueError("gradient has a non-finite coordinate")
-    if p is None:
-        return values, None
-    if gs is None:
-        return values, [lp_norm(row, p) for row in values]
-    return values, [v.cached_norm if v.p == p else lp_norm(v.values, p) for v in gs]
+    return np.atleast_2d(values)
 
 
 def _signs(values: np.ndarray) -> np.ndarray:
@@ -292,8 +227,10 @@ def _prepare(g, cfg: QuantizerConfig):
     the level.
     """
     s = cfg.levels
-    values, norms = _rows(g, cfg.p)
-    norms = _wire_norms(np.array(norms), cfg.b_pre)
+    values = _rows(g)
+    # row i's norm is that of gradient i alone, so a row quantizes the same
+    # whether it is sent alone or in a batch
+    norms = _wire_norms(np.array([lp_norm(row, cfg.p) for row in values]), cfg.b_pre)
     if not np.isfinite(norms).all():
         raise ValueError("gradient norm overflows the wire precision")
     zero = norms == 0.0
@@ -310,7 +247,7 @@ def _prepare(g, cfg: QuantizerConfig):
 
 
 def quantize(
-    g: GradientVector | Sequence[GradientVector] | np.ndarray,
+    g: np.ndarray,
     cfg: QuantizerConfig,
     rng: np.random.Generator | np.ndarray,
 ) -> QuantizedGradient | QuantizedBatch:
@@ -320,63 +257,59 @@ def quantize(
     l+1 with probability s*|g_j|/norm - l and to l otherwise, which makes
     dequantization unbiased.  A zero-norm input gets all-zero levels.
 
-    g is one GradientVector, quantized to a QuantizedGradient with d
-    uniforms drawn from the Generator rng, or W gradients, as a sequence of
-    GradientVectors or a (W, d) array, quantized to a QuantizedBatch.  For a
-    batch rng is either a Generator or the (W, d) array of rounding uniforms,
-    row i for gradient i; a row drawn with Generator.random(out=row) holds the
-    same doubles that quantizing gradient i alone would draw.
+    g is one 1-D gradient, quantized to a QuantizedGradient, or a (W, d)
+    array of W gradients, quantized to a QuantizedBatch.  rng is either a
+    Generator or the array of rounding uniforms, shaped like g.  Row i of a
+    batch's uniforms, drawn with Generator.random(out=row), holds the same
+    doubles that quantizing gradient i alone would draw.
     """
-    if cfg.is_sign_only:
-        raise ValueError("sign-only config: use sign_quantize")
     values, norms, signs, low, frac = _prepare(g, cfg)
     if isinstance(rng, np.random.Generator):
         u = rng.random(values.shape)
     else:
         u = np.asarray(rng)
-        if u.shape != values.shape:
-            raise ValueError(f"expected {values.shape} rounding uniforms, got {u.shape}")
+        if u.shape != np.shape(g):
+            raise ValueError(f"expected {np.shape(g)} rounding uniforms, got {u.shape}")
     levels = (low + (u < frac)).astype(np.uint32)
     batch = QuantizedBatch(norms, signs, levels, cfg.bits, cfg.b_pre)
-    return batch.frame(0) if isinstance(g, GradientVector) else batch
+    return batch if np.ndim(g) == 2 else batch.frame(0)
 
 
 def dequantized_draws(
-    g: GradientVector, cfg: QuantizerConfig, rng: np.random.Generator, n: int
+    g: np.ndarray, cfg: QuantizerConfig, rng: np.random.Generator, n: int
 ) -> np.ndarray:
-    """n independent quantize->dequantize draws of g, as an (n, d) array.
+    """n independent quantize->dequantize draws of the 1-D gradient g, as an
+    (n, d) array.
 
     Statistically identical to stacking n quantize/dequantize round trips;
     batched here so Monte-Carlo checks over 1e5+ draws stay cheap.
     """
-    if cfg.is_sign_only:
-        raise ValueError("sign-only config: use sign_quantize")
+    if np.ndim(g) != 1:
+        raise ValueError("expected one 1-D gradient")
     _, norms, signs, low, frac = _prepare(g, cfg)
-    u = rng.random((n, g.d))
+    u = rng.random((n, low.shape[1]))
     levels = low + (u < frac)
     return ((norms[0] * signs) * levels) / cfg.levels
 
 
-def dequantize(q: QuantizedGradient) -> GradientVector:
+def dequantize(q: QuantizedGradient) -> np.ndarray:
     """Deterministic inverse map: values_j = norm * sign_j * level_j / s."""
-    return GradientVector(q.as_batch().dequantized()[0])
+    return q.as_batch().dequantized()[0]
 
 
-def sign_quantize(
-    g: GradientVector | Sequence[GradientVector] | np.ndarray, b_pre: int = 32
-) -> QuantizedGradient | QuantizedBatch:
+def sign_quantize(g: np.ndarray, b_pre: int = 32) -> QuantizedGradient | QuantizedBatch:
     """1-bit-per-coordinate codec: transmit signs plus a mean-|g| scale.
 
     Dequantizes to (||g||_1 / d) * sign(g_j), preserving the average
-    magnitude.  Deterministic; costs d + b_pre bits per frame.  g is one
-    GradientVector (giving a QuantizedGradient) or W gradients, as a sequence
-    of them or a (W, d) array (giving a QuantizedBatch).
+    magnitude.  Deterministic; costs d + b_pre bits per frame.  g is one 1-D
+    gradient (giving a QuantizedGradient) or a (W, d) array of W gradients
+    (giving a QuantizedBatch).
     """
-    values, _ = _rows(g)
+    values = _rows(g)
     scales = _wire_norms(np.sum(np.abs(values), axis=1) / values.shape[1], b_pre)
     levels = np.ones(values.shape, dtype=np.uint32)
     batch = QuantizedBatch(scales, _signs(values), levels, 1, b_pre)
-    return batch.frame(0) if isinstance(g, GradientVector) else batch
+    return batch if np.ndim(g) == 2 else batch.frame(0)
 
 
 def frame_bytes(d: int, bits: int, b_pre: int) -> int:
@@ -466,12 +399,15 @@ def decode(
     return batch if frames is not None else batch.frame(0)
 
 
-def variance_bound(cfg: QuantizerConfig, g: GradientVector) -> float:
-    """Worst-case trace of the single-vector quantization covariance.
+def variance_bound(cfg: QuantizerConfig, g: np.ndarray) -> float:
+    """Worst-case trace of the quantization covariance of the 1-D gradient g.
 
     Equals d * ||g||_p**2 / (4 s**2); the per-coordinate Bernoulli variance
     is at most (1/4) (norm/s)**2.
     """
+    if np.ndim(g) != 1:
+        raise ValueError("expected one 1-D gradient")
     s = cfg.levels
-    norm = g.cached_norm if g.p == cfg.p else lp_norm(g.values, cfg.p)
-    return g.d * norm * norm / (4.0 * s * s)
+    values = _rows(g)[0]
+    norm = lp_norm(values, cfg.p)
+    return values.size * norm * norm / (4.0 * s * s)

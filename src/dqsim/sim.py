@@ -166,8 +166,10 @@ def check_fields(spec) -> None:
 
 
 def check_choice(*choices):
+    """One of choices, of the same type: 64.0 is not the integer 64."""
+
     def check(v):
-        if v not in choices:
+        if not any(v == c and type(v) is type(c) for c in choices):
             return f"must be one of {', '.join(map(str, choices))}, got {v!r}"
         return None
 
@@ -175,12 +177,17 @@ def check_choice(*choices):
 
 
 def check_number(lo=None, hi=None, lo_open=False, hi_open=False, finite=False):
-    """Any number but NaN, within the given bounds (and finite if asked)."""
+    """Any number but NaN in float range, within the given bounds (and finite
+    if asked)."""
 
     def check(v):
         # v != v holds only for NaN, and unlike math.isnan takes an int of any size
         if isinstance(v, bool) or not isinstance(v, (int, float)) or v != v:
             return f"must be a number, got {v!r}"
+        try:
+            float(v)
+        except OverflowError:
+            return f"must be within float range, got an integer of {len(str(abs(v)))} digits"
         if finite and abs(v) == math.inf:
             return f"must be finite, got {v}"
         if lo is not None and (v <= lo if lo_open else v < lo):
@@ -244,8 +251,9 @@ class ObjectiveSpec:
     )
     d: int = config_key(4, check_int(1, 10**6))
     lam: float = config_key(1.0, check_number(lo=0, lo_open=True))  # isotropic curvature
-    mu: float = config_key(1.0, check_number(lo=0, lo_open=True))  # quadratic spectrum range
-    L: float = config_key(4.0, check_number(lo=0, lo_open=True))
+    # quadratic spectrum range
+    mu: float = config_key(1.0, check_number(lo=0, lo_open=True, finite=True))
+    L: float = config_key(4.0, check_number(lo=0, lo_open=True, finite=True))
     hessian_seed: int = config_key(7, check_int(0))
     n: int = config_key(2000, check_int(1))  # logistic dataset size
     ridge: float = config_key(0.1, check_number(lo=0))
@@ -259,7 +267,7 @@ class ObjectiveSpec:
 @dataclass(frozen=True)
 class OracleSpec:
     kind: str = config_key("gaussian", check_choice("gaussian", "minibatch"))
-    sigma: float = config_key(0.0, check_number(lo=0))
+    sigma: float = config_key(0.0, check_number(lo=0, finite=True))
     batch_size: int = config_key(32, check_int(1))
     shard_mode: str = config_key("split", check_choice("split", "replicate"))
     calibration_draws: int = config_key(64, check_int(0))
@@ -272,7 +280,7 @@ class OracleSpec:
 class ScheduleSpec:
     kind: str = config_key("dynamic", check_choice("fixed", "ternary", "sign", "dynamic"))
     bits: int = config_key(8, check_int(2, 32))  # fixed width
-    epsilon: float = config_key(0.1, check_number(lo=0, lo_open=True))
+    epsilon: float = config_key(0.1, check_number(lo=0, lo_open=True, finite=True))
     gamma: float = config_key(0.5, check_number(lo=0, hi=1, hi_open=True))
     tau: int = config_key(100, check_int(1))
     b_min: int = config_key(2, check_int(2, 32))
@@ -280,7 +288,7 @@ class ScheduleSpec:
     b0: int = config_key(8, check_int(2, 32))
     alpha_source: str = config_key("estimate", check_choice("estimate", "closed_form"))
     # direct budget override
-    eps_q_hat: float | None = config_key(None, check_number(lo=0, lo_open=True))
+    eps_q_hat: float | None = config_key(None, check_number(lo=0, lo_open=True, finite=True))
 
     def __post_init__(self):
         check_fields(self)
@@ -346,7 +354,6 @@ def build_oracle(config: RunConfig, objective) -> GradientOracle:
         sigma=o.sigma,
         batch_size=o.batch_size,
         shard_mode=o.shard_mode,
-        norm_order=config.p,
     )
 
 

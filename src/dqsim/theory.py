@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quant import GradientVector, QuantizerConfig, dequantized_draws
+from .quant import QuantizerConfig, dequantized_draws, lp_norm
 from .schedule import alpha_closed_form
 
 __all__ = [
@@ -299,36 +299,39 @@ class Lemma1Report:
 
 
 def lemma1_mc_check(
-    g_list: list[GradientVector],
+    grads: np.ndarray,
     bits: int,
     n_draws: int,
     rng: np.random.Generator,
     W: int | None = None,
     sigma_sq: float = 0.0,
+    p: float = 2.0,
     b_pre: int = 64,
     chunk: int = 4096,
 ) -> Lemma1Report:
     """Monte-Carlo verification that averaging W independently quantized
     gradients is unbiased and respects the variance ceiling.
 
-    For the fixed gradient list, checks that over n_draws aggregation rounds
+    grads is the (W, d) array, or list, of the W fixed worker gradients, and p
+    the quantizer's norm order.  Checks that over n_draws aggregation rounds
     (i) each coordinate of the empirical mean is within 5 standard errors of
     the plain average and (ii) the empirical E||ghat||^2 does not exceed
     ||avg||^2 + sigma_sq/W + d*gbar^2/(4W s^2) by more than 5 standard
-    errors.  sigma_sq defaults to 0 because the list is fixed, not sampled.
+    errors.  sigma_sq defaults to 0 because the gradients are fixed, not
+    sampled.
     """
     if n_draws < 10_000:
         raise ValueError("need at least 1e4 draws for a meaningful check")
-    if W is not None and len(g_list) != W:
-        raise ValueError(f"expected {W} gradients, got {len(g_list)}")
-    W = len(g_list)
-    d = g_list[0].d
-    if any(g.d != d for g in g_list):
-        raise ValueError("all gradients must share one dimension")
-    cfg = QuantizerConfig(bits=bits, p=g_list[0].p, b_pre=b_pre)
+    grads = np.asarray(grads, dtype=np.float64)
+    if grads.ndim != 2 or grads.size == 0:
+        raise ValueError(f"expected a nonempty (W, d) array of gradients, got {grads.shape}")
+    if W is not None and len(grads) != W:
+        raise ValueError(f"expected {W} gradients, got {len(grads)}")
+    W, d = grads.shape
+    cfg = QuantizerConfig(bits=bits, p=p, b_pre=b_pre)
 
-    avg = np.mean([g.values for g in g_list], axis=0)
-    gbar_sq = float(np.mean([g.cached_norm**2 for g in g_list]))
+    avg = np.mean(grads, axis=0)
+    gbar_sq = float(np.mean([lp_norm(g, p) ** 2 for g in grads]))
     s = cfg.levels
     avg_sq = float(avg @ avg)
     extra = sigma_sq / W + d * gbar_sq / (4.0 * W * s * s)
@@ -343,7 +346,7 @@ def lemma1_mc_check(
     while done < n_draws:
         m = min(chunk, n_draws - done)
         ghat = np.zeros((m, d))
-        for g in g_list:
+        for g in grads:
             ghat += dequantized_draws(g, cfg, rng, m)
         ghat /= W
         dev = ghat - avg

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .objective import QuadraticObjective
-from .quant import GradientVector
 from .schedule import (
     alpha_closed_form,
     budget_satisfaction,
@@ -80,7 +79,7 @@ def verify_lemma1(seed: int = 0, draws: int = 100_000) -> VerifyResult:
     rng = np.random.default_rng(seed)
     for d in (1, 16, 256):
         for W in (1, 8):
-            gs = [GradientVector(rng.standard_normal(d)) for _ in range(W)]
+            gs = [rng.standard_normal(d) for _ in range(W)]
             for b in (2, 4, 8):
                 rep = lemma1_mc_check(gs, bits=b, n_draws=draws, rng=rng)
                 result.record(

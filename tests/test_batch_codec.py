@@ -9,7 +9,6 @@ import pytest
 from dqsim.quant import (
     CorruptionError,
     FramingError,
-    GradientVector,
     QuantizedBatch,
     QuantizedGradient,
     QuantizerConfig,
@@ -62,7 +61,14 @@ def test_batch_encode_is_the_frames_back_to_back(b_pre):
 def test_stack_and_frame_are_inverse():
     rng = np.random.default_rng(22)
     batch = random_batch(rng, 5, 13, 6, 32)
-    again = QuantizedBatch.stack([batch.frame(i) for i in range(5)])
+    frames = [batch.frame(i) for i in range(5)]
+    again = QuantizedBatch(
+        np.array([q.norm for q in frames]),
+        np.stack([q.signs for q in frames]),
+        np.stack([q.levels for q in frames]),
+        batch.bits,
+        batch.b_pre,
+    )
     assert np.array_equal(again.norms, batch.norms)
     assert np.array_equal(again.signs, batch.signs)
     assert np.array_equal(again.levels, batch.levels)
@@ -114,14 +120,13 @@ def test_batch_quantize_matches_frames_quantized_alone():
     values[1] = 0.0
     values[3] = -np.abs(values[3])
     values[4] = 1e-200  # nonzero, but its norm underflows to 0
-    gs = [GradientVector(v) for v in values]
     for bits, b_pre in ((2, 32), (6, 64), (12, 32), (32, 64)):
         cfg = QuantizerConfig(bits=bits, b_pre=b_pre)
         uniforms = np.empty((W, d))
         for i in range(W):
             np.random.default_rng([bits, i]).random(out=uniforms[i])
-        batch = quantize(gs, cfg, uniforms)
-        for i, g in enumerate(gs):
+        batch = quantize(values, cfg, uniforms)
+        for i, g in enumerate(values):
             alone = quantize(g, cfg, np.random.default_rng([bits, i]))
             row = batch.frame(i)
             assert row.norm == alone.norm
@@ -129,9 +134,9 @@ def test_batch_quantize_matches_frames_quantized_alone():
             assert np.array_equal(row.levels, alone.levels)
         assert np.all(batch.levels[[1, 4]] == 0) and np.all(batch.norms[[1, 4]] == 0.0)
         with pytest.raises(ValueError):
-            quantize(gs, cfg, uniforms[:1])  # would broadcast over the rows
-    signs = sign_quantize(gs, b_pre=64)
-    for i, g in enumerate(gs):
+            quantize(values, cfg, uniforms[:1])  # would broadcast over the rows
+    signs = sign_quantize(values, b_pre=64)
+    for i, g in enumerate(values):
         alone = sign_quantize(g, b_pre=64)
         assert signs.norms[i] == alone.norm
         assert np.array_equal(signs.signs[i], alone.signs)

@@ -4,7 +4,6 @@ fails here rather than in a benchmark run."""
 
 import dataclasses
 import importlib.util
-import sys
 from pathlib import Path
 
 import pytest
@@ -32,21 +31,6 @@ def _load_tracing():
     spec = importlib.util.spec_from_file_location("bench_tracing", BENCH / "tracing.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module
-
-
-@pytest.fixture
-def workloads(monkeypatch):
-    """bench/workloads.py, loaded by path after the bench/checks.py it imports.
-
-    Both are registered in sys.modules while the test runs, as dataclasses
-    need for a module's string annotations."""
-    monkeypatch.syspath_prepend(str(BENCH))
-    for name in ("checks", "workloads"):
-        spec = importlib.util.spec_from_file_location(name, BENCH / f"{name}.py")
-        module = importlib.util.module_from_spec(spec)
-        monkeypatch.setitem(sys.modules, name, module)
-        spec.loader.exec_module(module)
     return module
 
 

@@ -176,6 +176,77 @@ def test_nan_rejected_by_parser_and_spec(section, key, spec):
         spec(**{key: float("nan")})
 
 
+@pytest.mark.parametrize(
+    "section,key,spec",
+    [
+        ("objective", "L", ObjectiveSpec),
+        ("objective", "mu", ObjectiveSpec),
+        ("oracle", "sigma", OracleSpec),
+        ("schedule", "epsilon", ScheduleSpec),
+        ("schedule", "eps_q_hat", ScheduleSpec),
+    ],
+)
+def test_inf_rejected_by_parser_and_spec(section, key, spec):
+    # each used to parse and then end its run in a traceback
+    with pytest.raises(ConfigError) as err:
+        parse_config(f"[{section}]\n{key} = inf\n")
+    (msg,) = err.value.errors
+    assert msg.startswith(f"line 2: [{section}] {key}:") and "finite" in msg
+    with pytest.raises(ValueError):
+        spec(**{key: float("inf")})
+    # lam at inf still parses: its run ends in the divergence exit
+    assert parse_config("[objective]\nlam = inf\n").run.objective.lam == float("inf")
+
+
+def test_b_pre_must_be_an_integer_with_line():
+    with pytest.raises(ConfigError) as err:
+        parse_config("[run]\nb_pre = 64.0\n")
+    (msg,) = err.value.errors
+    assert msg.startswith("line 2: [run] b_pre:") and "64.0" in msg
+    with pytest.raises(ValueError):
+        RunConfig(b_pre=64.0)
+    assert parse_config("[run]\nb_pre = 64\n").run.b_pre == 64
+
+
+def test_float_key_rejects_an_integer_beyond_float_range_with_line():
+    with pytest.raises(ConfigError) as err:
+        parse_config("[run]\nT = 5\n\n[objective]\nlam = 1" + "0" * 400 + "\n")
+    (msg,) = err.value.errors
+    assert msg.startswith("line 5: [objective] lam:") and "float range" in msg
+    with pytest.raises(ValueError):
+        ObjectiveSpec(lam=10**400)
+    assert parse_config("[objective]\nlam = 1" + "0" * 300 + "\n").run.objective.lam == 1e300
+    # past Python's int-from-text digit limit the literal stays text
+    with pytest.raises(ConfigError) as err:
+        parse_config("[objective]\nlam = 1" + "0" * 5000 + "\n")
+    assert err.value.errors[0].startswith("line 2: [objective] lam: must be a number")
+
+
+def test_minibatch_oracle_needs_a_logistic_objective_at_the_later_line():
+    with pytest.raises(ConfigError) as err:
+        parse_config("[oracle]\nkind = minibatch\n")
+    (msg,) = err.value.errors
+    assert msg.startswith("line 2: [oracle] kind:") and "logistic" in msg
+    with pytest.raises(ConfigError) as err:
+        parse_config("[oracle]\nkind = minibatch\n[objective]\nkind = quadratic\n")
+    assert err.value.errors[0].startswith("line 4: [oracle] kind:")
+    spec = parse_config("[oracle]\nkind = minibatch\n[objective]\nkind = logistic\n")
+    assert spec.run.oracle.kind == "minibatch"
+
+
+def test_split_shards_need_w_to_divide_n_at_the_later_line():
+    text = (
+        "[objective]\nkind = logistic\nn = 16\n"
+        "[oracle]\nkind = minibatch\nshard_mode = {}\n[run]\nW = {}\n"
+    )
+    with pytest.raises(ConfigError) as err:
+        parse_config(text.format("split", 3))
+    (msg,) = err.value.errors
+    assert msg.startswith("line 8: [oracle] shard_mode") and "n = 16, W = 3" in msg
+    assert parse_config(text.format("split", 4)).run.W == 4
+    assert parse_config(text.format("replicate", 3)).run.W == 3
+
+
 def test_x0_scale_must_be_finite_while_p_may_be_inf():
     with pytest.raises(ConfigError) as err:
         parse_config("[run]\nx0_scale = inf\n")

@@ -11,7 +11,7 @@ from dqsim.objective import (
     QuadraticObjective,
     make_dataset,
 )
-from dqsim.quant import GradientVector, lp_norm
+from dqsim.quant import lp_norm
 from dqsim.streams import worker_stream
 
 
@@ -187,7 +187,7 @@ def test_gaussian_oracle_degenerate_noise_is_exact():
     oracle = GradientOracle(obj, workers=2, noise="gaussian", sigma=0.0)
     x = np.array([1.0, 2.0, 3.0])
     g = oracle.sample(0, x, np.random.default_rng(0))
-    assert np.array_equal(g.values, obj.gradient(x))
+    assert np.array_equal(g, obj.gradient(x))
 
 
 def test_gaussian_oracle_mean_within_5_se():
@@ -196,7 +196,7 @@ def test_gaussian_oracle_mean_within_5_se():
     x = np.array([1.0, -1.0, 0.5, 2.0])
     rng = np.random.default_rng(7)
     n = 100_000
-    draws = np.stack([oracle.sample(0, x, rng).values for _ in range(200)])
+    draws = np.stack([oracle.sample(0, x, rng) for _ in range(200)])
     # vectorized equivalent for the big sample
     big = obj.gradient(x) + rng.normal(0, 0.8 / 2.0, size=(n, 4))
     mean = big.mean(axis=0)
@@ -227,8 +227,8 @@ def test_minibatch_full_shard_is_deterministic():
     x = np.array([0.2, -0.1, 0.4])
     g1 = oracle.sample(0, x, np.random.default_rng(1))
     g2 = oracle.sample(3, x, np.random.default_rng(2))
-    assert np.array_equal(g1.values, g2.values)
-    assert np.array_equal(g1.values, obj.gradient(x))
+    assert np.array_equal(g1, g2)
+    assert np.array_equal(g1, obj.gradient(x))
 
 
 def test_minibatch_shards_are_contiguous_equal_splits():
@@ -252,7 +252,7 @@ def test_minibatch_oracle_unbiased_over_shards():
     n = 20_000
     draws = np.stack(
         [
-            np.mean([oracle.sample(i, x, rng).values for i in range(W)], axis=0)
+            np.mean([oracle.sample(i, x, rng) for i in range(W)], axis=0)
             for _ in range(n)
         ]
     )
@@ -321,7 +321,7 @@ ORACLE_CASES = {
 def _oracle(W, case, d=9, n=80):
     X, y = make_dataset(n, d, seed=31)
     obj = LogisticObjective(X, y, ridge=0.05)
-    return GradientOracle(obj, workers=W, norm_order=3.0, **ORACLE_CASES[case])
+    return GradientOracle(obj, workers=W, **ORACLE_CASES[case])
 
 
 @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
@@ -342,8 +342,8 @@ def test_draw_and_gradients_equal_per_worker_samples(W, case):
             assert np.array_equal(grads[i], ref)
             # the batch of one is the same number, and so is the row's norm
             alone = oracle.sample(i, x, worker_stream(40, i, t), exact)
-            assert np.array_equal(alone.values, ref)
-            assert lp_norm(grads[i], 3.0) == GradientVector(ref, p=3.0).cached_norm
+            assert np.array_equal(alone, ref)
+            assert lp_norm(grads[i], 3.0) == lp_norm(ref, 3.0)
 
 
 def test_logistic_gradients_on_row_sets_match_gradient_on():

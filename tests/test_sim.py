@@ -9,13 +9,7 @@ import pytest
 
 from dqsim import sim
 from dqsim.objective import LogisticObjective
-from dqsim.quant import (
-    GradientVector,
-    QuantizedBatch,
-    QuantizedGradient,
-    QuantizerConfig,
-    quantize,
-)
+from dqsim.quant import QuantizerConfig, quantize
 from dqsim.sim import (
     CSV_HEADER,
     DivergenceError,
@@ -118,22 +112,22 @@ def test_sign_schedule_accounting():
 
 def test_aggregate_identical_and_opposite():
     rng = np.random.default_rng(0)
-    g = GradientVector(rng.standard_normal(5))
-    q = quantize(g, QuantizerConfig(bits=6), rng)
-    same = aggregate(QuantizedBatch.stack([q, q, q]))
+    g = rng.standard_normal(5)
+    cfg = QuantizerConfig(bits=6)
+    u = rng.random(5)
+    q = quantize(g, cfg, u)
+    same = aggregate(quantize(np.stack([g, g, g]), cfg, np.stack([u, u, u])))
     single = aggregate(q.as_batch())
     assert np.allclose(same, single, rtol=0, atol=0)
-    neg = QuantizedGradient(q.norm, -q.signs, q.levels.copy(), q.bits, q.b_pre)
-    assert np.array_equal(aggregate(QuantizedBatch.stack([q, neg])), np.zeros(5))
+    pair = quantize(np.stack([g, -g]), cfg, np.stack([u, u]))
+    assert np.array_equal(aggregate(pair), np.zeros(5))
 
 
 def test_aggregate_matches_brute_force_mean():
     rng = np.random.default_rng(1)
-    qs = []
-    for _ in range(7):
-        g = GradientVector(rng.standard_normal(4))
-        qs.append(quantize(g, QuantizerConfig(bits=5), rng))
-    got = aggregate(QuantizedBatch.stack(qs))
+    batch = quantize(rng.standard_normal((7, 4)), QuantizerConfig(bits=5), rng)
+    got = aggregate(batch)
+    qs = [batch.frame(i) for i in range(7)]
     s = qs[0].level_count
     brute = [
         math.fsum(float(q.norm) * int(q.signs[j]) * int(q.levels[j]) / s for q in qs) / 7
@@ -142,19 +136,10 @@ def test_aggregate_matches_brute_force_mean():
     assert np.allclose(got, brute, rtol=1e-12)
 
 
-def test_aggregate_dimension_mismatch():
-    q1 = QuantizedGradient(1.0, np.array([1]), np.array([1]), bits=2)
-    q2 = QuantizedGradient(1.0, np.array([1, 1]), np.array([1, 1]), bits=2)
-    with pytest.raises(ValueError):
-        QuantizedBatch.stack([q1, q2])
-    with pytest.raises(ValueError):
-        QuantizedBatch.stack([])
-
-
 def test_aggregated_quantization_is_unbiased():
     rng = np.random.default_rng(2)
-    gs = [GradientVector(rng.standard_normal(5)) for _ in range(3)]
-    plain = np.mean([g.values for g in gs], axis=0)
+    gs = rng.standard_normal((3, 5))
+    plain = gs.mean(axis=0)
     cfg = QuantizerConfig(bits=3, b_pre=64)
     n = 20_000
     acc = np.zeros((n, 5))

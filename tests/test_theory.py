@@ -9,7 +9,6 @@ import pytest
 
 from dqsim import sim
 from dqsim.objective import QuadraticObjective
-from dqsim.quant import GradientVector
 from dqsim.theory import (
     am_alpha,
     dq_total_cost_bound,
@@ -340,7 +339,7 @@ def test_cost_bound_alpha_domain():
 
 def test_lemma1_check_near_machine_precision_at_32_bits():
     rng = np.random.default_rng(6)
-    gs = [GradientVector(rng.standard_normal(6)) for _ in range(4)]
+    gs = rng.standard_normal((4, 6))
     rep = lemma1_mc_check(gs, bits=32, n_draws=20_000, rng=rng)
     assert rep.passed
     assert rep.empirical_sqnorm == pytest.approx(rep.bound_sqnorm, rel=1e-9)
@@ -348,24 +347,24 @@ def test_lemma1_check_near_machine_precision_at_32_bits():
 
 def test_lemma1_check_single_worker_single_vector():
     rng = np.random.default_rng(7)
-    g = GradientVector(rng.standard_normal(8))
+    g = rng.standard_normal(8)
     rep = lemma1_mc_check([g], bits=3, n_draws=50_000, rng=rng)
     assert rep.passed
     # bound reduces to ||g||^2 + d ||g||^2 / (4 s^2)
     s = 3
-    want = float(g.values @ g.values) + 8 * g.cached_norm**2 / (4 * s * s)
+    want = float(g @ g) + 8 * np.linalg.norm(g) ** 2 / (4 * s * s)
     assert rep.bound_sqnorm == pytest.approx(want, rel=1e-12)
 
 
 def test_lemma1_check_random_instance():
     rng = np.random.default_rng(8)
-    gs = [GradientVector(rng.standard_normal(16)) for _ in range(8)]
+    gs = rng.standard_normal((8, 16))
     rep = lemma1_mc_check(gs, bits=3, n_draws=50_000, rng=rng)
     assert rep.passed, rep.summary()
 
 
 def test_lemma1_check_input_validation():
-    g = GradientVector([1.0])
+    g = np.array([1.0])
     with pytest.raises(ValueError):
         lemma1_mc_check([g], bits=2, n_draws=100, rng=np.random.default_rng(0))
     with pytest.raises(ValueError):

@@ -32,17 +32,15 @@ from .quant import (
     variance_bound,
 )
 from .schedule import (
-    BitSchedule,
     DynamicSchedule,
     FixedSchedule,
-    SchedulerState,
     SignSchedule,
     alpha_closed_form,
     alpha_estimate,
     budget_satisfaction,
     continuous_bits,
-    dq_bits,
     fixed_bits_for_budget,
+    quantization_budget,
 )
 from .sim import (
     DivergenceError,

@@ -29,10 +29,10 @@ import numpy as np
 
 from . import __version__
 from .schedule import (
-    SchedulerState,
     alpha_closed_form,
     budget_satisfaction,
     fixed_bits_for_budget,
+    quantization_budget,
 )
 from .sim import (
     DivergenceError,
@@ -436,18 +436,7 @@ def run_comparison(spec: ExperimentSpec) -> ComparisonSummary:
         if spec.calibration == "fixed-to-dynamic":
             dyn_sched = dataclasses.replace(cfg.schedule, kind="dynamic")
             dyn = run(dataclasses.replace(cfg, schedule=dyn_sched))
-            eps_q_hat = dyn_sched.eps_q_hat
-            if eps_q_hat is None:
-                eps_q_hat = SchedulerState(
-                    T=cfg.T,
-                    W=cfg.W,
-                    d=obj.d,
-                    eta=cfg.eta,
-                    L=L,
-                    mu=mu,
-                    epsilon=dyn_sched.epsilon,
-                    gamma=dyn_sched.gamma,
-                ).eps_q_hat
+            eps_q_hat = quantization_budget(dyn_sched, cfg.W, obj.d, cfg.eta, L)
             b_fixed = fixed_bits_for_budget(dyn.gbar, alpha, eps_q_hat)
             fixed = run(
                 dataclasses.replace(
@@ -616,6 +605,9 @@ def run_experiment(
         if spec.kind == "sweep":
             return _do_sweep(spec, out)
         return _do_verify(spec, out)
+    except SpecError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except DivergenceError as exc:
         partial = exc.trace
         write_trace(partial, out / "diverged.csv", out / "diverged.json")
@@ -708,9 +700,7 @@ def main(argv: list[str] | None = None) -> int:
         )
         if args.out:
             return run_experiment(spec, args.out, command="verify " + args.check)
-        result = VERIFIERS[args.check](seed=args.seed)
-        print(result.report())
-        return EXIT_OK if result.passed else EXIT_VERIFY_FAILED
+        return _do_verify(spec, None)
 
     config_path = Path(args.config)
     if not config_path.is_file():

@@ -7,30 +7,29 @@ root-mean-square gradient norm, the closed-form allocation is
 
     b_t = log2( sqrt(T / eps_q_hat) * alpha**((T-1-t)/2) * gbar_t + 1 ) + 1,
 
-rounded half-up and clamped.  Substituting the unrounded values back into
-the recency-weighted budget sum recovers eps_q_hat exactly, which is the
-stationarity property the audit helpers below check.
+rounded half-up and clamped.  quantization_budget derives eps_q_hat from a
+schedule's (epsilon, gamma) split.  Substituting the unrounded values back
+into the recency-weighted budget sum recovers eps_q_hat exactly, which is the
+stationarity property budget_satisfaction audits; fixed_bits_for_budget finds
+the narrowest constant width that meets the same budget.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 __all__ = [
     "ALPHA_FLOOR",
     "ALPHA_CEIL",
-    "SchedulerState",
-    "BitSchedule",
     "FixedSchedule",
     "SignSchedule",
     "DynamicSchedule",
     "alpha_closed_form",
     "alpha_estimate",
     "continuous_bits",
-    "dq_bits",
+    "quantization_budget",
     "budget_satisfaction",
     "fixed_bits_for_budget",
 ]
@@ -83,68 +82,18 @@ def _round_half_up(x: float) -> int:
     return math.floor(x + 0.5)
 
 
-@dataclass
-class SchedulerState:
-    """Everything the dynamic rule needs, plus its evolving estimates.
+def quantization_budget(spec, W: int, d: int, eta: float, L: float) -> float:
+    """The dynamic rule's budget eps_q_hat for a ScheduleSpec.
 
-    eps_q = (1 - gamma) * epsilon is the residual-error budget assigned to
-    quantization; eps_q_hat = 8 W eps_q / (L d eta^2) is the same budget in
-    the units the bit formula consumes.  Pass eps_q_hat directly to bypass
-    the (epsilon, gamma) split.
+    spec.eps_q_hat when set; else eps_q = (1 - gamma) * epsilon, the
+    residual-error budget assigned to quantization, in the units the bit
+    formula consumes: 8 W eps_q / (L d eta^2).  Where eta**2 leaves float
+    range, Python's float power raises OverflowError, or the division
+    ZeroDivisionError.
     """
-
-    T: int
-    W: int
-    d: int
-    eta: float
-    L: float
-    mu: float
-    epsilon: float = 0.1
-    gamma: float = 0.5
-    tau: int = 100
-    b_min: int = 2
-    b_max: int = 32
-    b0: int = 8
-    alpha_source: str = "estimate"  # "estimate" | "closed_form"
-    eps_q_hat: float | None = None
-    eps_q: float = field(init=False)
-    alpha: float = field(init=False)
-    F0: float = math.nan
-    gbar_hist: list = field(default_factory=list)
-
-    def __post_init__(self):
-        if self.T < 1 or self.W < 1 or self.d < 1:
-            raise ValueError("T, W, d must all be at least 1")
-        if not self.eta > 0:
-            raise ValueError("learning rate must be positive")
-        if not 0 <= self.gamma < 1:
-            raise ValueError(f"gamma must lie in [0, 1), got {self.gamma}")
-        if not 2 <= self.b_min <= self.b_max <= 32:
-            raise ValueError("clamps must satisfy 2 <= b_min <= b_max <= 32")
-        if self.tau < 1:
-            raise ValueError("refresh period tau must be at least 1")
-        if self.alpha_source not in ("estimate", "closed_form"):
-            raise ValueError(f"unknown alpha source {self.alpha_source!r}")
-        if self.eps_q_hat is None:
-            if not self.epsilon > 0:
-                raise ValueError("epsilon must be positive")
-            self.eps_q = (1.0 - self.gamma) * self.epsilon
-            self.eps_q_hat = (
-                8.0 * self.W / (self.L * self.d * self.eta**2) * self.eps_q
-            )
-        else:
-            if not self.eps_q_hat > 0:
-                raise ValueError("eps_q_hat must be positive")
-            self.eps_q = self.eps_q_hat * self.L * self.d * self.eta**2 / (8.0 * self.W)
-        self.alpha = _clamp_alpha(alpha_closed_form(self.eta, self.L, self.mu))
-
-
-def dq_bits(state: SchedulerState, t: int, gbar: float) -> int:
-    """Integer dynamic allocation: continuous rule, half-up, clamped."""
-    if gbar <= 0:
-        return state.b_min
-    b = continuous_bits(t, state.T, state.eps_q_hat, state.alpha, gbar)
-    return min(max(_round_half_up(b), state.b_min), state.b_max)
+    if spec.eps_q_hat is not None:
+        return spec.eps_q_hat
+    return 8.0 * W / (L * d * eta**2) * ((1.0 - spec.gamma) * spec.epsilon)
 
 
 def budget_satisfaction(
@@ -184,29 +133,13 @@ def fixed_bits_for_budget(gbar_seq, alpha: float, eps_q_hat: float) -> int:
     return min(max(b, 2), 32)
 
 
-class BitSchedule:
-    """Base bit schedule: emits b_t for each round."""
-
-    kind = "base"
-
-    def start(self, f0: float) -> int:
-        raise NotImplementedError
-
-    def update(self, t: int, loss_t: float, gbar_t: float) -> int:
-        """Bits for round t+1, given stats observed through round t."""
-        raise NotImplementedError
-
-
-class FixedSchedule(BitSchedule):
+class FixedSchedule:
     """Constant width; also covers the ternary (2-bit) baseline."""
 
-    def __init__(self, bits: int, kind: str = "fixed"):
+    def __init__(self, bits: int):
         if not 2 <= bits <= 32:
             raise ValueError(f"fixed width must be in [2, 32], got {bits}")
-        if kind == "ternary" and bits != 2:
-            raise ValueError("ternary schedule is the 2-bit constant schedule")
         self.bits = bits
-        self.kind = kind
 
     def start(self, f0: float) -> int:
         return self.bits
@@ -215,11 +148,9 @@ class FixedSchedule(BitSchedule):
         return self.bits
 
 
-class SignSchedule(BitSchedule):
+class SignSchedule:
     """1 bit per coordinate every round (handled by the sign codec)."""
 
-    kind = "sign"
-
     def start(self, f0: float) -> int:
         return 1
 
@@ -227,34 +158,40 @@ class SignSchedule(BitSchedule):
         return 1
 
 
-class DynamicSchedule(BitSchedule):
+class DynamicSchedule:
     """Budget-driven allocation with a tau-periodic refresh.
 
-    Starts at state.b0.  Every tau rounds the contraction estimate and the
-    norm statistic are re-read and the width recomputed; between refreshes
-    the width is held.  The refresh consumes the most recent completed
-    round's statistics.
+    spec is a ScheduleSpec; its tau, b0, b_min, b_max and alpha_source are
+    read from it.  alpha starts at the clamped closed form given.  The width
+    starts at b0 clamped into [b_min, b_max].  Every tau rounds the
+    contraction estimate (under alpha_source "estimate") and the norm
+    statistic are re-read and the width recomputed; between refreshes the
+    width is held.  The refresh consumes the most recent completed round's
+    statistics.
     """
 
-    kind = "dynamic"
-
-    def __init__(self, state: SchedulerState):
-        self.state = state
-        self._current = state.b0
+    def __init__(self, spec, T: int, eps_q_hat: float, alpha: float):
+        self.spec = spec
+        self.T = T
+        self.eps_q_hat = eps_q_hat
+        self.alpha = _clamp_alpha(alpha)
+        self.f0 = math.nan
 
     def start(self, f0: float) -> int:
-        self.state.F0 = f0
-        self._current = min(max(self.state.b0, self.state.b_min), self.state.b_max)
+        self.f0 = f0
+        self._current = min(max(self.spec.b0, self.spec.b_min), self.spec.b_max)
         return self._current
 
     def update(self, t: int, loss_t: float, gbar_t: float) -> int:
-        st = self.state
-        st.gbar_hist.append(gbar_t)
+        """Bits for round t+1, given stats observed through round t."""
+        spec = self.spec
         t_next = t + 1
-        if t_next < st.T and t_next % st.tau == 0:
-            if st.alpha_source == "estimate" and t >= 1 and st.F0 > 0:
-                st.alpha = alpha_estimate(st.F0, loss_t, t)
-            elif st.alpha_source == "closed_form":
-                st.alpha = _clamp_alpha(alpha_closed_form(st.eta, st.L, st.mu))
-            self._current = dq_bits(st, t_next, gbar_t)
+        if t_next < self.T and t_next % spec.tau == 0:
+            if spec.alpha_source == "estimate" and t >= 1 and self.f0 > 0:
+                self.alpha = alpha_estimate(self.f0, loss_t, t)
+            if gbar_t <= 0:
+                self._current = spec.b_min
+            else:
+                b = continuous_bits(t_next, self.T, self.eps_q_hat, self.alpha, gbar_t)
+                self._current = min(max(_round_half_up(b), spec.b_min), spec.b_max)
         return self._current

@@ -56,10 +56,10 @@ from .quant import (
 from .schedule import (
     DynamicSchedule,
     FixedSchedule,
-    SchedulerState,
     SignSchedule,
     alpha_closed_form,
     budget_satisfaction,
+    quantization_budget,
 )
 from .streams import ITER_LIMIT, LANE_AUX, SEED_LIMIT, WORKER_LIMIT, worker_stream
 
@@ -93,7 +93,9 @@ __all__ = [
     "write_trace",
 ]
 
-CSV_HEADER = "t,loss,grad_norm,gbar,bits,round_bits,cum_bits"
+# a trace's per-round columns, in CSV order; replay compares each of them
+_COMPARED_FIELDS = ("t", "loss", "grad_norm", "gbar", "bits", "round_bits", "cum_bits")
+CSV_HEADER = ",".join(_COMPARED_FIELDS)
 
 DIVERGENCE_FACTOR = 1e6
 
@@ -362,27 +364,21 @@ def build_schedule(config: RunConfig, objective):
     if s.kind == "fixed":
         return FixedSchedule(s.bits)
     if s.kind == "ternary":
-        return FixedSchedule(2, kind="ternary")
+        return FixedSchedule(2)
     if s.kind == "sign":
         return SignSchedule()
     L, mu = objective.constants()
-    state = SchedulerState(
-        T=config.T,
-        W=config.W,
-        d=objective.d,
-        eta=config.eta,
-        L=L,
-        mu=mu,
-        epsilon=s.epsilon,
-        gamma=s.gamma,
-        tau=s.tau,
-        b_min=s.b_min,
-        b_max=s.b_max,
-        b0=s.b0,
-        alpha_source=s.alpha_source,
-        eps_q_hat=s.eps_q_hat,
-    )
-    return DynamicSchedule(state)
+    try:
+        budget = quantization_budget(s, config.W, objective.d, config.eta, L)
+    except (OverflowError, ZeroDivisionError):
+        budget = math.inf
+    if not 0 < budget < math.inf:
+        raise SpecError(
+            ("epsilon", "gamma", "eta"),
+            "must give a positive, finite quantization budget "
+            f"8 W (1 - gamma) epsilon / (L d eta^2), got {budget}",
+        )
+    return DynamicSchedule(s, config.T, budget, alpha_closed_form(config.eta, L, mu))
 
 
 def initial_point(config: RunConfig, d: int) -> np.ndarray:
@@ -427,9 +423,6 @@ class RunTrace:
         if horizon == self.t.size:
             return self.final_loss - optimal_value
         return float(self.loss[horizon]) - optimal_value
-
-
-_COMPARED_FIELDS = ("t", "loss", "grad_norm", "gbar", "bits", "round_bits", "cum_bits")
 
 
 def aggregate(frames: QuantizedBatch) -> np.ndarray:
@@ -707,8 +700,7 @@ def theory_report_for(trace: RunTrace) -> theory.TheoryReport:
         gm = theory.gm_alpha(alpha, T)
         if gap0 is not None and ewu:
             if config.schedule.kind == "dynamic":
-                state = build_schedule(config, obj).state
-                eps_q_hat = state.eps_q_hat
+                eps_q_hat = quantization_budget(config.schedule, config.W, obj.d, config.eta, L)
             else:
                 eps_q_hat = budget_satisfaction(trace.bits, trace.gbar, alpha)
             if eps_q_hat > 0 and gap0 > 0:
@@ -738,27 +730,16 @@ def trace_csv(trace: RunTrace) -> str:
     """Fixed-schema CSV: one row per iteration, 17-significant-digit floats,
     LF line endings."""
     lines = [CSV_HEADER]
-    for i in range(trace.t.size):
-        lines.append(
-            f"{trace.t[i]},{_fmt(trace.loss[i])},{_fmt(trace.grad_norm[i])},"
-            f"{_fmt(trace.gbar[i])},{trace.bits[i]},{trace.round_bits[i]},"
-            f"{trace.cum_bits[i]}"
-        )
+    columns = [getattr(trace, name).tolist() for name in _COMPARED_FIELDS]
+    for row in zip(*columns):
+        lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row))
     return "\n".join(lines) + "\n"
 
 
 def trace_json_dict(trace: RunTrace, report: theory.TheoryReport | None = None) -> dict:
     payload = {
         "config": trace.config.to_dict(),
-        "trace": {
-            "t": [int(v) for v in trace.t],
-            "loss": [float(v) for v in trace.loss],
-            "grad_norm": [float(v) for v in trace.grad_norm],
-            "gbar": [float(v) for v in trace.gbar],
-            "bits": [int(v) for v in trace.bits],
-            "round_bits": [int(v) for v in trace.round_bits],
-            "cum_bits": [int(v) for v in trace.cum_bits],
-        },
+        "trace": {name: getattr(trace, name).tolist() for name in _COMPARED_FIELDS},
         "final": {
             "x": [float(v) for v in trace.x_final],
             "loss": float(trace.final_loss),

@@ -412,6 +412,31 @@ def test_main_exit_codes(tmp_path):
     assert (tmp_path / "d" / "diverged.csv").is_file()
 
 
+@pytest.mark.parametrize(
+    "run_lines, schedule_lines, fixed_code",
+    [
+        ("", "epsilon = 1e308\n", EXIT_OK),
+        ("eta = 1e308\n", "", EXIT_DIVERGED),
+        # eta**2 underflows to 0, and the budget divides by it
+        ("eta = 1e-200\n", "", EXIT_OK),
+    ],
+    ids=["epsilon", "eta", "eta-underflow"],
+)
+def test_budget_out_of_float_range_is_a_usage_error(
+    tmp_path, capsys, run_lines, schedule_lines, fixed_code
+):
+    cfg = tmp_path / "c.cfg"
+    text = f"[run]\nT = 5\nW = 2\n{run_lines}[schedule]\nkind = {{}}\n{schedule_lines}"
+    cfg.write_text(text.format("dynamic"))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "dyn")]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: epsilon, gamma, eta: ") and "Traceback" not in err
+    assert "quantization budget" in err and err.endswith(", got inf\n")
+    # a fixed schedule has no budget: it runs, or diverges at a huge eta
+    cfg.write_text(text.format("fixed"))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "fixed")]) == fixed_code
+
+
 def test_main_verify_exit_codes(monkeypatch, tmp_path):
     assert main(["verify", "schedule", "--out", str(tmp_path / "v")]) == EXIT_OK
     assert (tmp_path / "v" / "verify.json").is_file()

@@ -250,12 +250,10 @@ def test_minibatch_oracle_unbiased_over_shards():
     x = np.array([0.3, 0.1, -0.2])
     rng = np.random.default_rng(12)
     n = 20_000
-    draws = np.stack(
-        [
-            np.mean([oracle.sample(i, x, rng) for i in range(W)], axis=0)
-            for _ in range(n)
-        ]
-    )
+    # each round's W picks in worker order, evaluated in one pass; row r of
+    # draws is round r's average over the workers
+    picks = [oracle.draw(i, rng) for _ in range(n) for i in range(W)]
+    draws = oracle.gradients(x, picks).reshape(n, W, -1).mean(axis=1)
     mean = draws.mean(axis=0)
     se = draws.std(axis=0, ddof=1) / math.sqrt(n)
     assert np.all(np.abs(mean - obj.gradient(x)) <= 5 * se)

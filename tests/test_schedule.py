@@ -10,22 +10,26 @@ from dqsim.schedule import (
     ALPHA_FLOOR,
     DynamicSchedule,
     FixedSchedule,
-    SchedulerState,
     SignSchedule,
     alpha_closed_form,
     alpha_estimate,
     budget_satisfaction,
     continuous_bits,
-    dq_bits,
     fixed_bits_for_budget,
+    quantization_budget,
 )
+from dqsim.sim import ScheduleSpec, SpecError
 from dqsim.theory import am_alpha, gm_alpha
 
 
-def make_state(**kwargs):
-    defaults = dict(T=100, W=8, d=10, eta=0.1, L=1.0, mu=1.0)
-    defaults.update(kwargs)
-    return SchedulerState(**defaults)
+def make_schedule(T=100, eps_q_hat=1.0, alpha=0.99, **spec):
+    """A dynamic schedule whose closed-form alpha is the given alpha."""
+    return DynamicSchedule(ScheduleSpec(**spec), T, eps_q_hat, alpha)
+
+
+def width_at(sched, t, gbar):
+    """The width a refresh at round t picks for norm gbar (tau = 1)."""
+    return sched.update(t - 1, 1.0, gbar)
 
 
 # ---------------------------------------------------------------------------
@@ -87,19 +91,19 @@ def test_bits_nondecreasing_in_t_for_fixed_gbar():
 def test_hand_evaluated_spot_value():
     # T=100, budget 1, alpha=0.99, gbar=1 at the final step:
     # log2(sqrt(100) * 1 * 1 + 1) + 1 = log2(11) + 1
-    state = make_state(eps_q_hat=1.0)
-    state.alpha = 0.99
+    sched = make_schedule(tau=1, alpha_source="closed_form")
     expected = math.log2(11.0) + 1.0
     assert continuous_bits(99, 100, 1.0, 0.99, 1.0) == pytest.approx(expected, rel=1e-15)
-    assert dq_bits(state, 99, 1.0) == math.floor(expected + 0.5) == 4
+    assert width_at(sched, 99, 1.0) == math.floor(expected + 0.5) == 4
 
 
-def test_dq_bits_clamps_and_degenerate_inputs():
-    state = make_state(eps_q_hat=1.0, b_min=3, b_max=6)
-    assert dq_bits(state, 0, 0.0) == 3
-    assert dq_bits(state, 99, 1e12) == 6
-    state.alpha = 1e-9  # weight underflow pushes the rule to the floor
-    assert dq_bits(state, 0, 1.0) >= 3
+def test_dynamic_width_clamps_and_degenerate_inputs():
+    sched = make_schedule(tau=1, b_min=3, b_max=6, alpha_source="closed_form")
+    assert width_at(sched, 1, 0.0) == 3
+    assert width_at(sched, 99, 1e12) == 6
+    # weight underflow pushes the rule to the floor
+    sched = make_schedule(tau=1, b_min=3, b_max=6, alpha=1e-9, alpha_source="closed_form")
+    assert width_at(sched, 1, 1.0) == 3
 
 
 def test_monotone_response_of_continuous_rule():
@@ -121,22 +125,24 @@ def test_monotone_response_of_continuous_rule():
 
 
 def test_budget_split_examples():
-    state = make_state(T=100, W=8, d=10, eta=0.1, L=1.0, epsilon=0.1, gamma=0.0)
-    assert state.eps_q == 0.1
-    state = make_state(T=100, W=8, d=10, eta=0.1, L=1.0, epsilon=0.1, gamma=0.5)
-    assert state.eps_q == pytest.approx(0.05, rel=1e-15)
-    assert state.eps_q_hat == pytest.approx(32.0, rel=1e-12)
+    # W=8, d=10, eta=0.1, L=1: eps_q_hat = 640 * (1 - gamma) * epsilon
+    spec = ScheduleSpec(epsilon=0.1, gamma=0.0)
+    assert quantization_budget(spec, 8, 10, 0.1, 1.0) == pytest.approx(64.0, rel=1e-12)
+    spec = ScheduleSpec(epsilon=0.1, gamma=0.5)
+    assert quantization_budget(spec, 8, 10, 0.1, 1.0) == pytest.approx(32.0, rel=1e-12)
+    assert quantization_budget(ScheduleSpec(eps_q_hat=32.0), 8, 10, 0.1, 1.0) == 32.0
 
 
 def test_asymptotic_budget_split():
     # choosing gamma = L eta^2 sigma^2 / (2 W (1-alpha) epsilon) makes the
     # quantization budget equal the large-horizon form: epsilon minus the
     # sampling-noise floor
-    L, eta, sigma, W, alpha, eps = 1.0, 0.1, 2.0, 8, 0.84, 0.1
+    L, eta, sigma, W, d, alpha, eps = 1.0, 0.1, 2.0, 8, 10, 0.84, 0.1
     gamma = L * eta**2 * sigma**2 / (2 * W * (1 - alpha)) / eps
-    state = make_state(W=W, eta=eta, L=L, epsilon=eps, gamma=gamma)
+    budget = quantization_budget(ScheduleSpec(epsilon=eps, gamma=gamma), W, d, eta, L)
     noise_floor = L * eta**2 * sigma**2 / (2.0 * W * (1.0 - alpha))
-    assert state.eps_q == pytest.approx(eps - noise_floor, rel=1e-12)
+    eps_q = budget * L * d * eta**2 / (8.0 * W)
+    assert eps_q == pytest.approx(eps - noise_floor, rel=1e-12)
 
 
 def test_budget_satisfaction_trivial_values():
@@ -190,41 +196,29 @@ def test_am_gm_ordering():
 # ---------------------------------------------------------------------------
 
 
-def test_state_validation():
-    with pytest.raises(ValueError):
-        make_state(gamma=1.0)
-    with pytest.raises(ValueError):
-        make_state(gamma=1.5)
-    with pytest.raises(ValueError):
-        make_state(b_min=1)
-    with pytest.raises(ValueError):
-        make_state(b_max=33)
-    with pytest.raises(ValueError):
-        make_state(eps_q_hat=0.0)
-    with pytest.raises(ValueError):
-        make_state(tau=0)
-
-
-def test_state_budget_round_trip():
-    direct = make_state(eps_q_hat=32.0)
-    assert direct.eps_q == pytest.approx(0.05, rel=1e-12)
+@pytest.mark.parametrize(
+    "key, value",
+    [("gamma", 1.0), ("gamma", 1.5), ("b_min", 1), ("b_max", 33), ("eps_q_hat", 0.0), ("tau", 0)],
+)
+def test_schedule_spec_rejects_bad_values(key, value):
+    with pytest.raises(SpecError):
+        ScheduleSpec(**{key: value})
 
 
 def test_fixed_and_sign_schedules_are_constant():
     sched = FixedSchedule(6)
     assert sched.start(1.0) == 6
     assert all(sched.update(t, 0.5, 1.0) == 6 for t in range(5))
-    tern = FixedSchedule(2, kind="ternary")
-    assert tern.kind == "ternary" and tern.start(1.0) == 2
     with pytest.raises(ValueError):
-        FixedSchedule(3, kind="ternary")
+        FixedSchedule(33)
     sign = SignSchedule()
     assert sign.start(1.0) == 1 and sign.update(0, 1.0, 1.0) == 1
 
 
 def test_dynamic_schedule_holds_between_refreshes():
-    state = make_state(T=30, tau=10, b0=5, eps_q_hat=4.0, alpha_source="closed_form")
-    sched = DynamicSchedule(state)
+    sched = make_schedule(
+        T=30, tau=10, b0=5, eps_q_hat=4.0, alpha=0.84, alpha_source="closed_form"
+    )
     bits = [sched.start(4.0)]
     for t in range(29):
         bits.append(sched.update(t, 4.0 * 0.9**t, 2.0))
@@ -235,9 +229,13 @@ def test_dynamic_schedule_holds_between_refreshes():
     assert all(2 <= b <= 32 for b in bits)
 
 
+def test_dynamic_schedule_starts_at_b0_clamped():
+    assert make_schedule(b0=2, b_min=4, b_max=6).start(1.0) == 4
+    assert make_schedule(b0=9, b_min=4, b_max=6).start(1.0) == 6
+
+
 def test_dynamic_schedule_never_emits_one_bit():
-    state = make_state(T=40, tau=1, eps_q_hat=1e9, b0=2)
-    sched = DynamicSchedule(state)
+    sched = make_schedule(T=40, tau=1, eps_q_hat=1e9, b0=2, alpha=0.84)
     bits = [sched.start(1.0)]
     for t in range(39):
         bits.append(sched.update(t, 1.0, 1e-9))
@@ -245,10 +243,18 @@ def test_dynamic_schedule_never_emits_one_bit():
 
 
 def test_dynamic_schedule_estimates_alpha_at_refresh():
-    state = make_state(T=40, tau=10, b0=4, eps_q_hat=4.0, alpha_source="estimate")
-    sched = DynamicSchedule(state)
+    sched = make_schedule(T=40, tau=10, b0=4, eps_q_hat=4.0, alpha=0.84, alpha_source="estimate")
     sched.start(8.0)
     # feed a loss history contracting at exactly 0.8 per step
     for t in range(39):
         sched.update(t, 8.0 * 0.8**t, 1.5)
-    assert state.alpha == pytest.approx(0.8, rel=1e-9)
+    assert sched.alpha == pytest.approx(0.8, rel=1e-9)
+
+
+def test_dynamic_schedule_keeps_the_closed_form_alpha():
+    sched = make_schedule(T=40, tau=10, eps_q_hat=4.0, alpha=1.5, alpha_source="closed_form")
+    assert sched.alpha == ALPHA_CEIL
+    sched.start(8.0)
+    for t in range(39):
+        sched.update(t, 8.0 * 0.8**t, 1.5)
+    assert sched.alpha == ALPHA_CEIL

@@ -69,6 +69,14 @@ def _schedules(ScheduleSpec):
         scheds[f"dynamic-{source}"] = ScheduleSpec(
             kind="dynamic", tau=10, b0=6, alpha_source=source
         )
+    # the budget given directly, the whole error budget given to quantization,
+    # a start width clamped up into [b_min, b_max], and a refresh every round
+    scheds["dynamic-eps_q_hat"] = ScheduleSpec(kind="dynamic", tau=10, b0=6, eps_q_hat=1.0)
+    scheds["dynamic-gamma0"] = ScheduleSpec(
+        kind="dynamic", tau=10, b0=6, gamma=0.0, alpha_source="closed_form"
+    )
+    scheds["dynamic-b0-clamped"] = ScheduleSpec(kind="dynamic", tau=10, b0=2, b_min=4, b_max=6)
+    scheds["dynamic-tau1"] = ScheduleSpec(kind="dynamic", tau=1, b0=6, alpha_source="closed_form")
     return scheds
 
 

@@ -18,9 +18,9 @@ from .objective import (
 from .quant import (
     CorruptionError,
     FramingError,
-    QuantizedBatch,
     QuantizedGradient,
     QuantizerConfig,
+    WireRangeError,
     decode,
     dequantize,
     dequantized_draws,

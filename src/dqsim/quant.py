@@ -7,13 +7,14 @@ stochastically so that dequantization is unbiased.  A separate
 1-bit-per-coordinate sign codec with mean-absolute-value scaling is provided
 as the aggressive baseline.
 
-Every codec operation also takes a round's W frames at once, as (W, d)
-arrays in a QuantizedBatch; a single frame is the batch of one, with the same
-arithmetic and the same bytes on the wire.
+One type, QuantizedGradient, holds either one frame or a round's W frames:
+its arrays take the shape of the gradient they came from, and every codec
+operation works over the trailing axis, with the same arithmetic and the
+same bytes on the wire for a frame alone or as a row of a round.
 
-All randomness comes from caller-supplied numpy Generators (or, for a batch,
-rounding uniforms the caller drew from them), so every operation here is pure
-and safe to run concurrently with distinct streams.
+All randomness comes from caller-supplied numpy Generators (or rounding
+uniforms the caller drew from them), so every operation here is pure and
+safe to run concurrently with distinct streams.
 """
 
 from __future__ import annotations
@@ -26,9 +27,9 @@ import numpy as np
 __all__ = [
     "QuantizerConfig",
     "QuantizedGradient",
-    "QuantizedBatch",
     "FramingError",
     "CorruptionError",
+    "WireRangeError",
     "lp_norm",
     "quantize",
     "dequantize",
@@ -47,6 +48,11 @@ class FramingError(ValueError):
 
 class CorruptionError(ValueError):
     """Decoded frame contains field values no encoder could have produced."""
+
+
+class WireRangeError(ValueError):
+    """A gradient the wire cannot carry: a non-finite coordinate, or a norm
+    or scale beyond the b_pre-bit float."""
 
 
 def lp_norm(values: np.ndarray, p: float) -> float:
@@ -85,11 +91,6 @@ class QuantizerConfig:
         return (1 << (self.bits - 1)) - 1
 
 
-def _level_count(bits: int) -> int:
-    # s = 2**(bits-1) - 1 for the uniform codec; the sign codec's levels are all 1
-    return 1 if bits == 1 else (1 << (bits - 1)) - 1
-
-
 @dataclass(eq=False)
 class QuantizedGradient:
     """The wire unit: a norm scalar plus per-coordinate sign and level index.
@@ -99,9 +100,12 @@ class QuantizedGradient:
     1 and norm holds the mean-absolute-value scale, so the same formula
     applies with s = 1.  The norm is stored already rounded to the b_pre wire
     precision, which is what makes decode(encode(q)) an exact identity.
+
+    One frame has a float norm and (d,) signs and levels.  A round's W frames
+    have a (W,) norm array and (W, d) signs and levels, row i being frame i.
     """
 
-    norm: float
+    norm: float | np.ndarray
     signs: np.ndarray  # int8, each +1 or -1
     levels: np.ndarray  # uint32, each in [0, s]
     bits: int
@@ -110,11 +114,19 @@ class QuantizedGradient:
     def __post_init__(self):
         self.signs = np.asarray(self.signs, dtype=np.int8)
         self.levels = np.asarray(self.levels, dtype=np.uint32)
-        if self.signs.shape != self.levels.shape or self.signs.ndim != 1:
-            raise ValueError("signs and levels must be 1-D arrays of equal length")
+        if self.signs.shape != self.levels.shape or self.signs.ndim not in (1, 2):
+            raise ValueError("signs and levels must be 1-D or (W, d) arrays of equal shape")
         if self.signs.size < 1:
             raise ValueError("empty quantized gradient")
-        if not (math.isfinite(self.norm) and self.norm >= 0.0):
+        if self.signs.ndim == 1:
+            # a scalar check: checking an array norm makes a frame twice as dear to build
+            valid = math.isfinite(self.norm) and self.norm >= 0.0
+        else:
+            self.norm = np.asarray(self.norm, dtype=np.float64)
+            if self.norm.shape != self.signs.shape[:1]:
+                raise ValueError(f"expected {len(self.signs)} norms, got shape {self.norm.shape}")
+            valid = bool(np.all(np.isfinite(self.norm) & (self.norm >= 0.0)))
+        if not valid:
             raise ValueError(f"norm must be finite and nonnegative, got {self.norm}")
         if not 1 <= self.bits <= 32:
             raise ValueError(f"bits must be in [1, 32], got {self.bits}")
@@ -126,84 +138,48 @@ class QuantizedGradient:
             raise ValueError("signs must be +1 or -1")
 
     @classmethod
-    def _trusted(cls, norm, signs, levels, bits, b_pre) -> "QuantizedGradient":
-        # fast path for quantize/decode, whose outputs are well-formed by
-        # construction; the public constructor validates everything
+    def _trusted(cls, norms, signs, levels, bits, b_pre, shape) -> "QuantizedGradient":
+        # quantize, sign_quantize and decode work on (W, d) rows, well-formed
+        # by construction, so nothing is validated here.  shape is (d,) for
+        # one frame, whose norm is then a Python float, or (W, d) for a round.
         obj = object.__new__(cls)
-        obj.norm = norm
-        obj.signs = signs
-        obj.levels = levels
-        obj.bits = bits
-        obj.b_pre = b_pre
+        obj.norm = norms if len(shape) == 2 else float(norms[0])
+        obj.signs = signs.reshape(shape)
+        obj.levels = levels.reshape(shape)
+        obj.bits, obj.b_pre = bits, b_pre
         return obj
 
     @property
     def d(self) -> int:
-        return self.levels.size
+        return self.levels.shape[-1]
 
     @property
     def level_count(self) -> int:
         """Grid size s used by the dequantization formula (1 for sign codec)."""
-        return _level_count(self.bits)
+        return 1 if self.bits == 1 else (1 << (self.bits - 1)) - 1
 
     @property
     def encoded_bits(self) -> int:
-        """Exact payload size in bits before byte padding: d*bits + b_pre."""
-        return self.d * self.bits + self.b_pre
-
-    def as_batch(self) -> "QuantizedBatch":
-        """This frame as a batch of one; the arrays are views, not copies."""
-        return QuantizedBatch(
-            np.array([self.norm]), self.signs[None], self.levels[None], self.bits, self.b_pre
-        )
-
-
-@dataclass(eq=False)
-class QuantizedBatch:
-    """W frames of one width as arrays, row i being frame i.
-
-    norms is a (W,) float64 array of wire-precision norms; signs (int8, each
-    +1 or -1) and levels (uint32, each in [0, s]) are (W, d).  Row i
-    dequantizes by the QuantizedGradient formula.  Nothing is validated here:
-    quantize, sign_quantize and decode build well-formed batches, and encode
-    rejects a level above s.
-    """
-
-    norms: np.ndarray
-    signs: np.ndarray
-    levels: np.ndarray
-    bits: int
-    b_pre: int = 32
-
-    @property
-    def level_count(self) -> int:
-        return _level_count(self.bits)
-
-    def frame(self, i: int) -> QuantizedGradient:
-        """Frame i; its arrays are views into the batch."""
-        return QuantizedGradient._trusted(
-            float(self.norms[i]), self.signs[i], self.levels[i], self.bits, self.b_pre
-        )
-
-    def dequantized(self) -> np.ndarray:
-        """(W, d) array of norm_i * sign_ij * level_ij / s."""
-        scaled_signs = self.norms[:, None] * self.signs.astype(np.float64)
-        return scaled_signs * self.levels / self.level_count
+        """Exact payload size in bits before byte padding: d*bits + b_pre per
+        frame, summed over a round's frames."""
+        return self.levels.size // self.d * (self.d * self.bits + self.b_pre)
 
 
 def _wire_norms(norms: np.ndarray, b_pre: int) -> np.ndarray:
     # The transmitted norm only has b_pre bits; rounding here (rather than in
     # encode) keeps the in-memory object identical to its wire round-trip.
     if b_pre == 32:
-        return norms.astype(np.float32).astype(np.float64)
+        norms = norms.astype(np.float32).astype(np.float64)
+    if not np.isfinite(norms).all():
+        raise WireRangeError("gradient norm overflows the wire precision")
     return norms
 
 
 def _rows(g) -> np.ndarray:
-    """g as a (W, d) float array: a 1-D gradient is the batch of one.
+    """g as a (W, d) float array: a 1-D gradient is one row.
 
     Raises ValueError unless g is a nonempty 1-D gradient or (W, d) array of
-    gradients with every coordinate finite.
+    gradients, and WireRangeError unless every coordinate is finite.
     """
     values = np.asarray(g, dtype=np.float64)
     if values.ndim not in (1, 2) or values.size == 0:
@@ -211,7 +187,7 @@ def _rows(g) -> np.ndarray:
             f"expected a nonempty 1-D gradient or (W, d) array of them, got shape {values.shape}"
         )
     if not np.isfinite(values).all():
-        raise ValueError("gradient has a non-finite coordinate")
+        raise WireRangeError("gradient has a non-finite coordinate")
     return np.atleast_2d(values)
 
 
@@ -221,18 +197,13 @@ def _signs(values: np.ndarray) -> np.ndarray:
 
 
 def _prepare(g, cfg: QuantizerConfig):
-    """Shared setup for quantize and dequantized_draws over g's (W, d) values.
-
-    Returns (values, norms, signs, low, frac) where low + Bernoulli(frac) is
-    the level.
-    """
+    """Shared setup for quantize and dequantized_draws over g's (W, d) values:
+    (norms, signs, low, frac), where the level is low + Bernoulli(frac)."""
     s = cfg.levels
     values = _rows(g)
     # row i's norm is that of gradient i alone, so a row quantizes the same
-    # whether it is sent alone or in a batch
+    # whether it is sent alone or in a round
     norms = _wire_norms(np.array([lp_norm(row, cfg.p) for row in values]), cfg.b_pre)
-    if not np.isfinite(norms).all():
-        raise ValueError("gradient norm overflows the wire precision")
     zero = norms == 0.0
     # multiply by s before dividing so ratios that sit exactly on a grid
     # point stay exact and round deterministically (frac == 0)
@@ -243,73 +214,72 @@ def _prepare(g, cfg: QuantizerConfig):
     scaled[zero] = 0.0
     low = np.floor(scaled)
     frac = scaled - low
-    return values, norms, _signs(values), low, frac
+    return norms, _signs(values), low, frac
 
 
 def quantize(
     g: np.ndarray,
     cfg: QuantizerConfig,
     rng: np.random.Generator | np.ndarray,
-) -> QuantizedGradient | QuantizedBatch:
+) -> QuantizedGradient:
     """Stochastically quantize g onto the uniform grid scaled by its norm.
 
     A coordinate whose magnitude ratio lies in [l/s, (l+1)/s) maps to level
     l+1 with probability s*|g_j|/norm - l and to l otherwise, which makes
     dequantization unbiased.  A zero-norm input gets all-zero levels.
 
-    g is one 1-D gradient, quantized to a QuantizedGradient, or a (W, d)
-    array of W gradients, quantized to a QuantizedBatch.  rng is either a
-    Generator or the array of rounding uniforms, shaped like g.  Row i of a
-    batch's uniforms, drawn with Generator.random(out=row), holds the same
-    doubles that quantizing gradient i alone would draw.
+    g is one 1-D gradient, quantized to one frame, or a (W, d) array of W
+    gradients, quantized to a round of W frames.  rng is either a Generator or
+    the array of rounding uniforms, shaped like g.  Row i of a round's
+    uniforms, drawn with Generator.random(out=row), holds the same doubles
+    that quantizing gradient i alone would draw.  Raises WireRangeError for a
+    gradient the wire cannot carry.
     """
-    values, norms, signs, low, frac = _prepare(g, cfg)
+    norms, signs, low, frac = _prepare(g, cfg)
+    shape = np.shape(g)
     if isinstance(rng, np.random.Generator):
-        u = rng.random(values.shape)
+        u = rng.random(shape)
     else:
         u = np.asarray(rng)
-        if u.shape != np.shape(g):
-            raise ValueError(f"expected {np.shape(g)} rounding uniforms, got {u.shape}")
+        if u.shape != shape:
+            raise ValueError(f"expected {shape} rounding uniforms, got {u.shape}")
     levels = (low + (u < frac)).astype(np.uint32)
-    batch = QuantizedBatch(norms, signs, levels, cfg.bits, cfg.b_pre)
-    return batch if np.ndim(g) == 2 else batch.frame(0)
+    return QuantizedGradient._trusted(norms, signs, levels, cfg.bits, cfg.b_pre, shape)
 
 
 def dequantized_draws(
     g: np.ndarray, cfg: QuantizerConfig, rng: np.random.Generator, n: int
 ) -> np.ndarray:
     """n independent quantize->dequantize draws of the 1-D gradient g, as an
-    (n, d) array.
-
-    Statistically identical to stacking n quantize/dequantize round trips;
-    batched here so Monte-Carlo checks over 1e5+ draws stay cheap.
-    """
+    (n, d) array: statistically identical to stacking n round trips, batched
+    so Monte-Carlo checks over 1e5+ draws stay cheap."""
     if np.ndim(g) != 1:
         raise ValueError("expected one 1-D gradient")
-    _, norms, signs, low, frac = _prepare(g, cfg)
+    norms, signs, low, frac = _prepare(g, cfg)
     u = rng.random((n, low.shape[1]))
     levels = low + (u < frac)
     return ((norms[0] * signs) * levels) / cfg.levels
 
 
 def dequantize(q: QuantizedGradient) -> np.ndarray:
-    """Deterministic inverse map: values_j = norm * sign_j * level_j / s."""
-    return q.as_batch().dequantized()[0]
+    """Deterministic inverse map: values_j = norm * sign_j * level_j / s, an
+    array shaped like q's levels (row i from norm i for a round)."""
+    scaled_signs = np.asarray(q.norm)[..., None] * q.signs.astype(np.float64)
+    return scaled_signs * q.levels / q.level_count
 
 
-def sign_quantize(g: np.ndarray, b_pre: int = 32) -> QuantizedGradient | QuantizedBatch:
+def sign_quantize(g: np.ndarray, b_pre: int = 32) -> QuantizedGradient:
     """1-bit-per-coordinate codec: transmit signs plus a mean-|g| scale.
 
     Dequantizes to (||g||_1 / d) * sign(g_j), preserving the average
     magnitude.  Deterministic; costs d + b_pre bits per frame.  g is one 1-D
-    gradient (giving a QuantizedGradient) or a (W, d) array of W gradients
-    (giving a QuantizedBatch).
+    gradient, giving one frame, or a (W, d) array of W gradients, giving a
+    round of W frames.  Raises WireRangeError as quantize does.
     """
     values = _rows(g)
     scales = _wire_norms(np.sum(np.abs(values), axis=1) / values.shape[1], b_pre)
     levels = np.ones(values.shape, dtype=np.uint32)
-    batch = QuantizedBatch(scales, _signs(values), levels, 1, b_pre)
-    return batch if np.ndim(g) == 2 else batch.frame(0)
+    return QuantizedGradient._trusted(scales, _signs(values), levels, 1, b_pre, np.shape(g))
 
 
 def frame_bytes(d: int, bits: int, b_pre: int) -> int:
@@ -322,22 +292,22 @@ def _code_type(bits: int) -> np.dtype:
     return np.dtype(">u1" if bits <= 8 else ">u2" if bits <= 16 else ">u4")
 
 
-def encode(q: QuantizedGradient | QuantizedBatch) -> bytes:
-    """Pack q into its exact bit layout; a batch packs to its W frames back
+def encode(q: QuantizedGradient) -> bytes:
+    """Pack q into its exact bit layout; a round packs to its W frames back
     to back, each laid out exactly as if encoded alone.
 
     Layout: the norm as a big-endian b_pre-bit IEEE float, then for each
     coordinate one sign bit (1 = negative) followed by bits-1 level bits,
     most significant bit first, zero-padded to a whole byte at the end.
     """
-    if isinstance(q, QuantizedGradient):
-        q = q.as_batch()
-    b, (W, d) = q.bits, q.levels.shape
+    b, d = q.bits, q.d
     if q.levels.max() > q.level_count:
         raise ValueError("level index exceeds the grid size s")
-    header = q.norms.astype(">f4" if q.b_pre == 32 else ">f8")
+    norms = np.ravel(q.norm)
+    W = norms.size
+    header = norms.astype(">f4" if q.b_pre == 32 else ">f8")
     if q.b_pre == 32:
-        for wire, norm in zip(header.tolist(), q.norms.tolist()):
+        for wire, norm in zip(header.tolist(), norms.tolist()):
             if math.isinf(wire) and math.isfinite(norm):
                 raise OverflowError("float too large to pack with f format")
     # Each level is written big-endian into the smallest integer type that
@@ -356,11 +326,11 @@ def encode(q: QuantizedGradient | QuantizedBatch) -> bytes:
 
 def decode(
     data: bytes, d: int, cfg: QuantizerConfig, frames: int | None = None
-) -> QuantizedGradient | QuantizedBatch:
+) -> QuantizedGradient:
     """Exact inverse of encode; padding bits are ignored.
 
-    data is one frame, decoded to a QuantizedGradient, or, when frames = W
-    is given, W frames back to back, decoded to a QuantizedBatch.  Raises
+    data is one frame, decoded to a float norm and (d,) arrays, or, when
+    frames = W is given, W frames back to back, decoded to a round.  Raises
     FramingError on a length mismatch and CorruptionError when the decoded
     fields of any frame could not have come from a well-formed frame.
     """
@@ -395,8 +365,8 @@ def decode(
     else:
         sign_plane[...] = 0
         levels = np.packbits(planes).view(code_type).reshape(W, d).astype(np.uint32)
-    batch = QuantizedBatch(norms, signs, levels, b, cfg.b_pre)
-    return batch if frames is not None else batch.frame(0)
+    shape = (d,) if frames is None else (W, d)
+    return QuantizedGradient._trusted(norms, signs, levels, b, cfg.b_pre, shape)
 
 
 def variance_bound(cfg: QuantizerConfig, g: np.ndarray) -> float:

@@ -45,9 +45,11 @@ import numpy as np
 from . import theory
 from .objective import GradientOracle, LogisticObjective, QuadraticObjective, make_dataset
 from .quant import (
-    QuantizedBatch,
+    QuantizedGradient,
     QuantizerConfig,
+    WireRangeError,
     decode,
+    dequantize,
     encode,
     frame_bytes,
     quantize,
@@ -272,7 +274,7 @@ class OracleSpec:
     sigma: float = config_key(0.0, check_number(lo=0, finite=True))
     batch_size: int = config_key(32, check_int(1))
     shard_mode: str = config_key("split", check_choice("split", "replicate"))
-    calibration_draws: int = config_key(64, check_int(0))
+    calibration_draws: int = config_key(64, check_int(0, ITER_LIMIT))
 
     def __post_init__(self):
         check_fields(self)
@@ -425,13 +427,13 @@ class RunTrace:
         return float(self.loss[horizon]) - optimal_value
 
 
-def aggregate(frames: QuantizedBatch) -> np.ndarray:
+def aggregate(frames: QuantizedGradient) -> np.ndarray:
     """Coordinate-wise mean of a round's dequantized frames.
 
     Row i is worker i's frame, so the floating-point result cannot depend on
     the order in which frames arrived.
     """
-    return frames.dequantized().mean(axis=0)
+    return dequantize(frames).mean(axis=0)
 
 
 def _cores() -> int:
@@ -582,8 +584,12 @@ def run(config: RunConfig, _worker_order=None) -> RunTrace:
                 # Python's float power, not numpy's square: the two round some
                 # float64 norms differently in the last bit, and gbar is
                 # defined by the former
-                gbar = float(np.sqrt(np.mean([norm**2 for norm in received.norms.tolist()])))
+                gbar = float(np.sqrt(np.mean([norm**2 for norm in received.norm.tolist()])))
                 mean = aggregate(received)
+            except WireRangeError as exc:
+                # a gradient the wire cannot carry ends the run as divergence
+                f_t, _ = checked(t, join)
+                raise DivergenceError(f"{exc} at iteration {t}", partial_trace(True, f_t)) from exc
             except Exception:
                 # at a diverged point the guard's error comes first, as it
                 # does when the pass runs before the workers

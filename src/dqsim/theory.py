@@ -298,43 +298,36 @@ class Lemma1Report:
         )
 
 
+_LEMMA1_CHUNK = 4096  # draws held in memory at once by lemma1_mc_check
+
+
 def lemma1_mc_check(
-    grads: np.ndarray,
-    bits: int,
-    n_draws: int,
-    rng: np.random.Generator,
-    W: int | None = None,
-    sigma_sq: float = 0.0,
-    p: float = 2.0,
-    b_pre: int = 64,
-    chunk: int = 4096,
+    grads: np.ndarray, bits: int, n_draws: int, rng: np.random.Generator
 ) -> Lemma1Report:
     """Monte-Carlo verification that averaging W independently quantized
     gradients is unbiased and respects the variance ceiling.
 
-    grads is the (W, d) array, or list, of the W fixed worker gradients, and p
-    the quantizer's norm order.  Checks that over n_draws aggregation rounds
-    (i) each coordinate of the empirical mean is within 5 standard errors of
-    the plain average and (ii) the empirical E||ghat||^2 does not exceed
-    ||avg||^2 + sigma_sq/W + d*gbar^2/(4W s^2) by more than 5 standard
-    errors.  sigma_sq defaults to 0 because the gradients are fixed, not
-    sampled.
+    grads is the (W, d) array, or list, of the W fixed worker gradients, each
+    quantized under the l2 norm with a 64-bit header.  Checks that over
+    n_draws aggregation rounds (i) each coordinate of the empirical mean is
+    within 5 standard errors of the plain average and (ii) the empirical
+    E||ghat||^2 does not exceed ||avg||^2 + d*gbar^2/(4W s^2) by more than 5
+    standard errors.  The ceiling has no sampling term because the gradients
+    are fixed, not sampled.
     """
     if n_draws < 10_000:
         raise ValueError("need at least 1e4 draws for a meaningful check")
     grads = np.asarray(grads, dtype=np.float64)
     if grads.ndim != 2 or grads.size == 0:
         raise ValueError(f"expected a nonempty (W, d) array of gradients, got {grads.shape}")
-    if W is not None and len(grads) != W:
-        raise ValueError(f"expected {W} gradients, got {len(grads)}")
     W, d = grads.shape
-    cfg = QuantizerConfig(bits=bits, p=p, b_pre=b_pre)
+    cfg = QuantizerConfig(bits=bits, b_pre=64)
 
     avg = np.mean(grads, axis=0)
-    gbar_sq = float(np.mean([lp_norm(g, p) ** 2 for g in grads]))
+    gbar_sq = float(np.mean([lp_norm(g, cfg.p) ** 2 for g in grads]))
     s = cfg.levels
     avg_sq = float(avg @ avg)
-    extra = sigma_sq / W + d * gbar_sq / (4.0 * W * s * s)
+    extra = d * gbar_sq / (4.0 * W * s * s)
 
     # all statistics accumulate on deviations from the known average, so the
     # tiny high-precision margins survive (no E[x^2] - mean^2 cancellation)
@@ -344,7 +337,7 @@ def lemma1_mc_check(
     ex_sumsq = 0.0
     done = 0
     while done < n_draws:
-        m = min(chunk, n_draws - done)
+        m = min(_LEMMA1_CHUNK, n_draws - done)
         ghat = np.zeros((m, d))
         for g in grads:
             ghat += dequantized_draws(g, cfg, rng, m)

@@ -1,5 +1,5 @@
-"""Batch codec: a round's W frames as (W, d) arrays, checked against the
-single-frame codec row by row."""
+"""Round codec: a round's W frames as one QuantizedGradient of (W, d) arrays,
+checked against the single-frame codec row by row."""
 
 import struct
 
@@ -9,10 +9,10 @@ import pytest
 from dqsim.quant import (
     CorruptionError,
     FramingError,
-    QuantizedBatch,
     QuantizedGradient,
     QuantizerConfig,
     decode,
+    dequantize,
     encode,
     frame_bytes,
     quantize,
@@ -34,7 +34,12 @@ def random_batch(rng, W, d, bits, b_pre):
     norms[zero] = 0.0
     levels[zero] = 0 if bits > 1 else 1
     signs[rng.integers(W)] = -1  # an all-negative row
-    return QuantizedBatch(norms, signs, levels, bits, b_pre)
+    return QuantizedGradient(norms, signs, levels, bits, b_pre)
+
+
+def row_of(q, i):
+    """Frame i of the round q, built through the public constructor."""
+    return QuantizedGradient(q.norm[i], q.signs[i], q.levels[i], q.bits, q.b_pre)
 
 
 @pytest.mark.parametrize("b_pre", [32, 64])
@@ -47,12 +52,12 @@ def test_batch_encode_is_the_frames_back_to_back(b_pre):
             if d % 8 == 0:
                 d += 1
             batch = random_batch(rng, W, d, bits, b_pre)
-            frames = [batch.frame(i) for i in range(W)]
+            frames = [row_of(batch, i) for i in range(W)]
             data = encode(batch)
             assert data == b"".join(encode(q) for q in frames)
             assert len(data) == W * frame_bytes(d, bits, b_pre)
             back = decode(data, d, QuantizerConfig(bits=bits, b_pre=b_pre), W)
-            assert np.array_equal(back.norms, batch.norms)
+            assert np.array_equal(back.norm, batch.norm)
             assert np.array_equal(back.signs, batch.signs)
             assert np.array_equal(back.levels, batch.levels)
             assert (back.bits, back.b_pre) == (bits, b_pre)
@@ -61,19 +66,21 @@ def test_batch_encode_is_the_frames_back_to_back(b_pre):
 def test_stack_and_frame_are_inverse():
     rng = np.random.default_rng(22)
     batch = random_batch(rng, 5, 13, 6, 32)
-    frames = [batch.frame(i) for i in range(5)]
-    again = QuantizedBatch(
+    frames = [row_of(batch, i) for i in range(5)]
+    again = QuantizedGradient(
         np.array([q.norm for q in frames]),
         np.stack([q.signs for q in frames]),
         np.stack([q.levels for q in frames]),
         batch.bits,
         batch.b_pre,
     )
-    assert np.array_equal(again.norms, batch.norms)
+    assert np.array_equal(again.norm, batch.norm)
     assert np.array_equal(again.signs, batch.signs)
     assert np.array_equal(again.levels, batch.levels)
-    q = batch.frame(2)
-    assert np.array_equal(encode(q.as_batch()), encode(q))
+    q = frames[2]
+    one = QuantizedGradient(np.array([q.norm]), q.signs[None], q.levels[None], q.bits, q.b_pre)
+    assert encode(one) == encode(q)
+    assert one.encoded_bits == q.encoded_bits and batch.encoded_bits == 5 * q.encoded_bits
 
 
 def test_batch_decode_wrong_total_length_raises_framing_error():
@@ -128,26 +135,63 @@ def test_batch_quantize_matches_frames_quantized_alone():
         batch = quantize(values, cfg, uniforms)
         for i, g in enumerate(values):
             alone = quantize(g, cfg, np.random.default_rng([bits, i]))
-            row = batch.frame(i)
+            row = row_of(batch, i)
             assert row.norm == alone.norm
             assert np.array_equal(row.signs, alone.signs)
             assert np.array_equal(row.levels, alone.levels)
-        assert np.all(batch.levels[[1, 4]] == 0) and np.all(batch.norms[[1, 4]] == 0.0)
+        assert np.all(batch.levels[[1, 4]] == 0) and np.all(batch.norm[[1, 4]] == 0.0)
         with pytest.raises(ValueError):
             quantize(values, cfg, uniforms[:1])  # would broadcast over the rows
     signs = sign_quantize(values, b_pre=64)
     for i, g in enumerate(values):
         alone = sign_quantize(g, b_pre=64)
-        assert signs.norms[i] == alone.norm
+        assert signs.norm[i] == alone.norm
         assert np.array_equal(signs.signs[i], alone.signs)
 
 
 def test_batch_dequantized_rows_match_frames():
     rng = np.random.default_rng(26)
     batch = random_batch(rng, 6, 10, 7, 64)
-    values = batch.dequantized()
+    values = dequantize(batch)
     for i in range(6):
-        q = batch.frame(i)
-        assert isinstance(q, QuantizedGradient)
+        q = row_of(batch, i)
         expected = (q.norm * q.signs.astype(np.float64) * q.levels) / q.level_count
         assert np.array_equal(values[i], expected)
+        assert np.array_equal(dequantize(q), expected)
+
+
+def valid_round():
+    # W=3 frames of d=4 at 3 bits (s = 3)
+    return np.array([0.5, 1.0, 2.0]), np.ones((3, 4), np.int8), np.full((3, 4), 2, np.uint32)
+
+
+@pytest.mark.parametrize("case", ["nan norm", "negative norm", "level above s", "zero sign"])
+def test_round_constructor_rejects_a_bad_value_in_any_row(case):
+    QuantizedGradient(*valid_round(), bits=3)
+    for row in range(3):
+        norms, signs, levels = valid_round()
+        if case == "nan norm":
+            norms[row] = np.nan
+        elif case == "negative norm":
+            norms[row] = -1.0
+        elif case == "level above s":
+            levels[row, 1] = 4
+        else:
+            signs[row, 2] = 0
+        with pytest.raises(ValueError):
+            QuantizedGradient(norms, signs, levels, bits=3)
+
+
+def test_round_constructor_rejects_mismatched_shapes():
+    norms, signs, levels = valid_round()
+    for bad in (
+        (norms[:-1], signs, levels),  # a norm short
+        (np.append(norms, 1.0), signs, levels),  # a norm over
+        (norms[:, None], signs, levels),
+        (1.0, signs, levels),
+        (norms, signs, levels[:, :3]),  # signs and levels differ
+        (norms, signs[:2], levels),
+        (norms, signs[None], levels[None]),  # not 1-D or (W, d)
+    ):
+        with pytest.raises(ValueError):
+            QuantizedGradient(*bad, bits=3)

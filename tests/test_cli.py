@@ -135,6 +135,17 @@ def test_seed_and_worker_count_limited_to_the_stream_key_with_line():
     assert err.value.errors[0].startswith("line 2: [run] T:")
 
 
+def test_calibration_draws_limited_like_t_with_line():
+    # an unbounded count parsed, and calibration then ran until it was killed
+    text = "[objective]\nkind = logistic\n[oracle]\nkind = minibatch\ncalibration_draws = {}\n"
+    for value in (2**32 + 1, 10**400):
+        with pytest.raises(ConfigError) as err:
+            parse_config(text.format(value))
+        (msg,) = err.value.errors
+        assert msg.startswith("line 5: [oracle] calibration_draws:") and "4294967296" in msg
+    assert parse_config(text.format(2**32)).run.oracle.calibration_draws == 2**32
+
+
 def test_seed_flags_limited_like_the_config(tmp_path):
     cfg = tmp_path / "c.cfg"
     cfg.write_text(MINIMAL + "\n[run]\nT = 5\n")
@@ -435,6 +446,26 @@ def test_budget_out_of_float_range_is_a_usage_error(
     # a fixed schedule has no budget: it runs, or diverges at a huge eta
     cfg.write_text(text.format("fixed"))
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "fixed")]) == fixed_code
+
+
+@pytest.mark.parametrize("b_pre", [32, 64])
+@pytest.mark.parametrize("schedule", ["fixed", "sign"])
+@pytest.mark.parametrize(
+    "section",
+    ["[oracle]\nsigma = 1e308\n", "[objective]\nkind = quadratic\nL = 1e308\n"],
+    ids=["sigma", "L"],
+)
+def test_gradient_beyond_the_wire_is_a_divergence(tmp_path, capsys, section, schedule, b_pre):
+    cfg = tmp_path / "c.cfg"
+    run_lines = f"[run]\nT = 5\nW = 2\nb_pre = {b_pre}\n"
+    cfg.write_text(f"{section}{run_lines}[schedule]\nkind = {schedule}\n")
+    with np.errstate(over="ignore"):
+        code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert code == EXIT_DIVERGED
+    err = capsys.readouterr().err
+    assert err == "error: gradient norm overflows the wire precision at iteration 0\n"
+    assert (tmp_path / "o" / "diverged.csv").is_file()
+    assert json.loads((tmp_path / "o" / "diverged.json").read_text())["final"]["diverged"]
 
 
 def test_main_verify_exit_codes(monkeypatch, tmp_path):

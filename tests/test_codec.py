@@ -1,5 +1,7 @@
 """Wire codec: exact bit layout, round trips, framing and corruption errors."""
 
+import hashlib
+import math
 import struct
 
 import numpy as np
@@ -26,6 +28,40 @@ def test_single_coordinate_layout():
     assert q.encoded_bits == 34
     assert data[:4] == struct.pack(">f", 0.75)
     assert data[4] == 0b11000000
+
+
+# SHA-256 of every frame and round that test_wire_bytes_are_pinned encodes
+WIRE_DIGEST = "c350c63cf0ac6761bdd88220a8b06679db04e7d436a234dc25a047926aec2233"
+
+
+def wire_fields(shape, bits, b_pre):
+    """Norms, signs and levels for a frame (d,) or round (W, d), made from raw
+    Philox words by integer arithmetic alone, so the digest pins the codec
+    and not numpy's samplers."""
+    n = math.prod(shape)
+    key = ((bits * 100 + b_pre) * 100 + shape[-1]) * 10 + len(shape)
+    words = np.random.Philox(key=key).random_raw(2 * n + n // shape[-1])
+    s = 1 if bits == 1 else (1 << (bits - 1)) - 1
+    levels = (words[:n] % np.uint64(s + 1)).astype(np.uint32).reshape(shape)
+    signs = np.where(words[n : 2 * n] >> np.uint64(63), -1, 1).astype(np.int8).reshape(shape)
+    # 24-bit norms, exact at both wire precisions
+    norms = (words[2 * n :] >> np.uint64(40)).astype(np.float64) / 1024.0
+    return norms, signs, levels
+
+
+def test_wire_bytes_are_pinned():
+    # every width, both header precisions, d = 1..64 with some d % 8 != 0;
+    # a layout change that decode mirrors would still change these bytes
+    digest = hashlib.sha256()
+    for bits in list(range(1, 13)) + [32]:
+        for b_pre in (32, 64):
+            for d in (1, 3, 8, 13, 64):
+                norm, signs, levels = wire_fields((d,), bits, b_pre)
+                frame = QuantizedGradient(float(norm[0]), signs, levels, bits, b_pre)
+                digest.update(encode(frame))
+                norms, signs, levels = wire_fields((3, d), bits, b_pre)
+                digest.update(encode(QuantizedGradient(norms, signs, levels, bits, b_pre)))
+    assert digest.hexdigest() == WIRE_DIGEST
 
 
 def test_sign_bit_convention():
@@ -82,6 +118,7 @@ def test_round_trip_through_quantize():
             g = rng.standard_normal(17)
             q = quantize(g, cfg, rng)
             back = decode(encode(q), 17, cfg)
+            assert type(q.norm) is float and type(back.norm) is float
             assert back.norm == q.norm
             assert np.array_equal(back.levels, q.levels)
             assert np.array_equal(back.signs, q.signs)

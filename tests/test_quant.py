@@ -290,13 +290,13 @@ def test_array_batch_quantizes_like_its_gradient_vectors(p):
         got = quantize(values, cfg, uniforms)
         for i, v in enumerate(values):
             want = quantize(v, cfg, uniforms[i])
-            assert got.norms[i] == want.norm
+            assert got.norm[i] == want.norm
             assert np.array_equal(got.signs[i], want.signs)
             assert np.array_equal(got.levels[i], want.levels)
     got = sign_quantize(values, b_pre=64)
     for i, v in enumerate(values):
         want = sign_quantize(v, b_pre=64)
-        assert got.norms[i] == want.norm and np.array_equal(got.signs[i], want.signs)
+        assert got.norm[i] == want.norm and np.array_equal(got.signs[i], want.signs)
     for bad in (values[None], np.empty((3, 0))):
         with pytest.raises(ValueError):
             quantize(bad, QuantizerConfig(bits=4, p=p), rng)

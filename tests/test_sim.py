@@ -115,9 +115,8 @@ def test_aggregate_identical_and_opposite():
     g = rng.standard_normal(5)
     cfg = QuantizerConfig(bits=6)
     u = rng.random(5)
-    q = quantize(g, cfg, u)
     same = aggregate(quantize(np.stack([g, g, g]), cfg, np.stack([u, u, u])))
-    single = aggregate(q.as_batch())
+    single = aggregate(quantize(g[None], cfg, u[None]))
     assert np.allclose(same, single, rtol=0, atol=0)
     pair = quantize(np.stack([g, -g]), cfg, np.stack([u, u]))
     assert np.array_equal(aggregate(pair), np.zeros(5))
@@ -127,10 +126,13 @@ def test_aggregate_matches_brute_force_mean():
     rng = np.random.default_rng(1)
     batch = quantize(rng.standard_normal((7, 4)), QuantizerConfig(bits=5), rng)
     got = aggregate(batch)
-    qs = [batch.frame(i) for i in range(7)]
-    s = qs[0].level_count
+    s = batch.level_count
     brute = [
-        math.fsum(float(q.norm) * int(q.signs[j]) * int(q.levels[j]) / s for q in qs) / 7
+        math.fsum(
+            float(batch.norm[i]) * int(batch.signs[i, j]) * int(batch.levels[i, j]) / s
+            for i in range(7)
+        )
+        / 7
         for j in range(4)
     ]
     assert np.allclose(got, brute, rtol=1e-12)

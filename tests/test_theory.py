@@ -367,7 +367,3 @@ def test_lemma1_check_input_validation():
     g = np.array([1.0])
     with pytest.raises(ValueError):
         lemma1_mc_check([g], bits=2, n_draws=100, rng=np.random.default_rng(0))
-    with pytest.raises(ValueError):
-        lemma1_mc_check(
-            [g], bits=2, n_draws=20_000, rng=np.random.default_rng(0), W=2
-        )

@@ -15,6 +15,7 @@ and verify (the self-contained analytical check suites).  Exit codes:
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
 import json
 import math
@@ -477,6 +478,39 @@ def run_comparison(spec: ExperimentSpec) -> ComparisonSummary:
 # ---------------------------------------------------------------------------
 
 
+# OpenBLAS's report of the kernel it picked for this CPU, under the names the
+# ILP64 OpenBLAS bundled with numpy 2 and numpy 1 wheels exports
+_BLAS_KERNEL_SYMBOLS = ("scipy_openblas_get_corename64_", "openblas_get_corename64_")
+
+
+def _blas_record() -> dict:
+    """numpy's BLAS, read offline: the build's name and version, and the
+    kernel it runs on this CPU where the library exports it.  A field that
+    cannot be read is None; nothing here raises."""
+    record = {"name": None, "version": None, "kernel": None}
+    try:
+        build = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        record["name"], record["version"] = build.get("name"), build.get("version")
+    except Exception:
+        pass
+    # the wheels bundle the library next to the package; loading it by path
+    # returns the copy numpy already loaded
+    package = Path(np.__file__).parent
+    libs = [*package.parent.glob("numpy.libs/*openblas*"), *package.glob(".dylibs/*openblas*")]
+    for lib in sorted(libs):
+        try:
+            dll = ctypes.CDLL(str(lib))
+            for symbol in _BLAS_KERNEL_SYMBOLS:
+                corename = getattr(dll, symbol, None)
+                if corename is not None:
+                    corename.restype = ctypes.c_char_p
+                    record["kernel"] = corename().decode()
+                    return record
+        except Exception:
+            pass
+    return record
+
+
 def _write_manifest(out: Path, spec: ExperimentSpec, config_text: str, command: str):
     out.mkdir(parents=True, exist_ok=True)
     (out / "config.cfg").write_text(config_text)
@@ -489,10 +523,11 @@ def _write_manifest(out: Path, spec: ExperimentSpec, config_text: str, command: 
         "seed": spec.run.seed,
         "seeds": list(spec.seeds),
         # provenance of the bit-identical replay claim: the draw layout and
-        # the interpreter, numpy and platform the run was made with
+        # the interpreter, numpy, BLAS and platform the run was made with
         "stream_format": STREAM_FORMAT,
         "python": platform.python_version(),
         "numpy": np.__version__,
+        "blas": _blas_record(),
         "platform": platform.platform(),
     }
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")

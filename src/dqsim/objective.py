@@ -27,6 +27,14 @@ __all__ = [
 # 2-core box, against 2.3 ms in pieces of 4 MiB and 2.5 ms worker by worker.
 GATHER_BYTES = 1 << 22
 
+# A Gram matrix of at least this side has its top eigenvalue found by Lanczos
+# iteration (ARPACK), a smaller one by LAPACK.  On a 2-core box (scipy 1.17,
+# OpenBLAS), medians of 7 calls over tall and wide Gaussian designs, LAPACK
+# against Lanczos: 1.6-4.5 against 1.9-6.1 ms at side 256, 15-16 against
+# 6-12 ms at 512, 43-51 against 26-35 ms at 1024, 342-363 against 101-104 ms
+# at 2048.
+LANCZOS_MIN_SIDE = 512
+
 
 class QuadraticObjective:
     """F(x) = 0.5 x'Hx + A'x + B with symmetric positive-definite H.
@@ -136,9 +144,13 @@ class LogisticObjective:
     convexity equals the ridge weight.
 
     ||X||_op^2 is the largest eigenvalue of the Gram matrix of X's smaller
-    side, X X' when n <= d and X'X otherwise: one product and one LAPACK
-    call that finds that eigenvalue alone, in place.  It agrees with the
-    top singular value squared to a few ulp, not bit for bit.
+    side, X X' when n <= d and X'X otherwise, found after one product.
+    Below LANCZOS_MIN_SIDE = 512 one LAPACK call finds that eigenvalue
+    alone, in place; from there on a Lanczos iteration (ARPACK's eigsh, to
+    machine precision from a fixed start) finds it from a few hundred
+    products with the Gram matrix.  Either agrees with the top singular
+    value squared to a few ulp, not bit for bit, and the Lanczos value can
+    differ from LAPACK's in its last bits (up to tens of ulp).
 
     scipy is imported by the first LogisticObjective built, not with this
     module, so that runs on quadratics never load it.
@@ -244,9 +256,21 @@ class LogisticObjective:
 
 def _top_gram_eigenvalue(X: np.ndarray) -> float:
     """Largest eigenvalue of X X' or X'X, whichever is smaller: ||X||_op^2."""
+    G = X @ X.T if X.shape[0] <= X.shape[1] else X.T @ X
+    if G.shape[0] >= LANCZOS_MIN_SIDE:
+        from scipy.sparse.linalg import eigsh
+
+        if not G.trace():
+            # X is zero, and ARPACK cannot restart from a zero product
+            return 0.0
+        # a fixed start makes the result reproducible, where ARPACK's own
+        # random start carries over between calls.  A seeded Gaussian vector,
+        # not ones: X X' maps ones to zero whenever X's rows sum to zero.
+        v0 = np.random.default_rng(0).standard_normal(G.shape[0])
+        top = eigsh(G, k=1, which="LA", tol=0, v0=v0, return_eigenvectors=False)
+        return float(top[0])
     from scipy.linalg import eigh
 
-    G = X @ X.T if X.shape[0] <= X.shape[1] else X.T @ X
     k = G.shape[0] - 1
     # G is symmetric, so its transpose is the same matrix in Fortran order,
     # which LAPACK overwrites without a copy

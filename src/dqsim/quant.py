@@ -202,8 +202,10 @@ def _prepare(g, cfg: QuantizerConfig):
     s = cfg.levels
     values = _rows(g)
     # row i's norm is that of gradient i alone, so a row quantizes the same
-    # whether it is sent alone or in a round
-    norms = _wire_norms(np.array([lp_norm(row, cfg.p) for row in values]), cfg.b_pre)
+    # whether it is sent alone or in a round.  A norm that overflows raises
+    # WireRangeError, so numpy's overflow warning would only repeat it.
+    with np.errstate(over="ignore"):
+        norms = _wire_norms(np.array([lp_norm(row, cfg.p) for row in values]), cfg.b_pre)
     zero = norms == 0.0
     # multiply by s before dividing so ratios that sit exactly on a grid
     # point stay exact and round deterministically (frac == 0)
@@ -277,7 +279,8 @@ def sign_quantize(g: np.ndarray, b_pre: int = 32) -> QuantizedGradient:
     round of W frames.  Raises WireRangeError as quantize does.
     """
     values = _rows(g)
-    scales = _wire_norms(np.sum(np.abs(values), axis=1) / values.shape[1], b_pre)
+    with np.errstate(over="ignore"):  # an overflowing scale raises, as in quantize
+        scales = _wire_norms(np.sum(np.abs(values), axis=1) / values.shape[1], b_pre)
     levels = np.ones(values.shape, dtype=np.uint32)
     return QuantizedGradient._trusted(scales, _signs(values), levels, 1, b_pre, np.shape(g))
 

@@ -1,7 +1,9 @@
 """Config format, artifact layout, summaries, exit codes."""
 
+import ctypes
 import json
 import platform
+import warnings
 
 import numpy as np
 import pytest
@@ -371,6 +373,10 @@ def test_run_experiment_writes_reproducible_artifacts(tmp_path):
     assert manifest["stream_format"] == STREAM_FORMAT == 1
     assert manifest["python"] == platform.python_version()
     assert manifest["numpy"] == np.__version__
+    build = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    blas = manifest["blas"]
+    assert (blas["name"], blas["version"]) == (build.get("name"), build.get("version"))
+    assert blas["kernel"] is None or (isinstance(blas["kernel"], str) and blas["kernel"])
     assert manifest["platform"] == platform.platform()
     trace = json.loads((out / "trace.json").read_text())
     assert trace["config"]["seed"] == spec.run.seed
@@ -380,6 +386,18 @@ def test_run_experiment_writes_reproducible_artifacts(tmp_path):
     cfg = RunConfig.from_dict(trace["config"])
     again = run(cfg)
     assert [float(v) for v in again.loss] == trace["trace"]["loss"]
+
+
+def test_manifest_blas_fields_are_null_when_unreadable(tmp_path, monkeypatch):
+    def unreadable(*args, **kwargs):
+        raise OSError("not available")
+
+    monkeypatch.setattr(np, "show_config", unreadable)
+    monkeypatch.setattr(ctypes, "CDLL", unreadable)
+    code = run_experiment(parse_config(MINIMAL), tmp_path / "out", command="test")
+    assert code == EXIT_OK
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["blas"] == {"name": None, "version": None, "kernel": None}
 
 
 def test_comparison_dynamic_to_fixed(tmp_path):
@@ -459,7 +477,9 @@ def test_gradient_beyond_the_wire_is_a_divergence(tmp_path, capsys, section, sch
     cfg = tmp_path / "c.cfg"
     run_lines = f"[run]\nT = 5\nW = 2\nb_pre = {b_pre}\n"
     cfg.write_text(f"{section}{run_lines}[schedule]\nkind = {schedule}\n")
-    with np.errstate(over="ignore"):
+    # the divergence exit prints its one error line and no numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
         code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert code == EXIT_DIVERGED
     err = capsys.readouterr().err

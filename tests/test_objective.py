@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from dqsim.objective import (
+    LANCZOS_MIN_SIDE,
     GradientOracle,
     LogisticObjective,
     QuadraticObjective,
@@ -151,6 +152,70 @@ def test_logistic_constants_formula(shape):
     L, mu = obj.constants()
     assert L == pytest.approx(op**2 / (4 * X.shape[0]) + 0.2, rel=1e-12)
     assert mu == 0.2
+
+
+def _lapack_top_gram_eigenvalue(X):
+    """The Gram matrix's top eigenvalue from LAPACK's eigh, as found below
+    LANCZOS_MIN_SIDE."""
+    from scipy.linalg import eigh
+
+    G = X @ X.T if X.shape[0] <= X.shape[1] else X.T @ X
+    k = G.shape[0] - 1
+    return float(eigh(G, eigvals_only=True, subset_by_index=[k, k])[0])
+
+
+def _large_design(shape):
+    """A design whose Gram side is LANCZOS_MIN_SIDE, some of them rank-deficient."""
+    m = LANCZOS_MIN_SIDE
+    if shape == "square":
+        return make_dataset(m, m, seed=7)[0]
+    X = make_dataset(m, 2 * m, seed=7)[0]
+    if shape == "duplicated-row":
+        X[m // 2 :] = X[: m // 2]
+    elif shape == "negated-row":
+        # +-1 features whose rows sum to exactly zero: X X' maps the all-ones
+        # vector to exact zeros, and a Lanczos start there fails
+        X = np.sign(X)
+        X[m // 2 :] = -X[: m // 2]
+    elif shape == "zero-column":
+        X = X.T.copy()
+        X[:, ::3] = 0.0
+    elif shape == "tall":
+        X = X.T.copy()
+    return X
+
+
+@pytest.mark.parametrize(
+    "shape", ["wide", "tall", "square", "duplicated-row", "negated-row", "zero-column"]
+)
+def test_logistic_smoothness_by_lanczos_matches_lapack(shape, monkeypatch):
+    import scipy.linalg
+
+    X = _large_design(shape)
+    n = X.shape[0]
+    y = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+    expected = _lapack_top_gram_eigenvalue(X) / (4 * n) + 0.1
+    # at and above the crossover the eigenvalue comes from the Lanczos branch
+    monkeypatch.setattr(scipy.linalg, "eigh", None)
+    L, _ = LogisticObjective(X, y, ridge=0.1).constants()
+    assert L == pytest.approx(expected, rel=1e-13, abs=0.0)
+
+
+def test_logistic_smoothness_of_a_zero_design_is_the_ridge():
+    for n in (LANCZOS_MIN_SIDE - 1, LANCZOS_MIN_SIDE):
+        obj = LogisticObjective(np.zeros((n, n + 3)), np.ones(n), ridge=0.25)
+        assert obj.constants() == (0.25, 0.25)
+
+
+def test_logistic_smoothness_below_the_crossover_is_lapacks(monkeypatch):
+    import scipy.sparse.linalg
+
+    # criterion 6's design: its L, and so its transcripts, stay LAPACK's bit for bit
+    X, y = make_dataset(2000, 50, seed=11, label_noise=0.2)
+    assert min(X.shape) < LANCZOS_MIN_SIDE
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", None)
+    L, _ = LogisticObjective(X, y, ridge=0.1).constants()
+    assert L == _lapack_top_gram_eigenvalue(X) / (4 * 2000) + 0.1
 
 
 def test_logistic_build_runs_no_svd(monkeypatch):

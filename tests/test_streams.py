@@ -1,4 +1,14 @@
-"""Stream derivation: a re-keyed Generator draws what a fresh stream draws."""
+"""Stream derivation: a re-keyed Generator draws what a fresh stream draws,
+and the draws themselves match committed digests.
+
+Run this file as a script to rewrite tests/data/draw_digest.json from the
+installed numpy, after bumping STREAM_FORMAT for a deliberate layout change.
+"""
+
+import hashlib
+import itertools
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,9 +18,46 @@ from dqsim.streams import (
     LANE_AUX,
     LANE_SAMPLE,
     SEED_LIMIT,
+    STREAM_FORMAT,
     WORKER_LIMIT,
     worker_stream,
 )
+
+DRAW_DIGEST = Path(__file__).parent / "data" / "draw_digest.json"
+
+# every key at the ends of each field's range, in both lanes a run draws from
+DIGEST_KEYS = list(
+    itertools.product(
+        (0, SEED_LIMIT - 1), (0, WORKER_LIMIT - 1), (0, ITER_LIMIT - 1), (LANE_SAMPLE, LANE_AUX)
+    )
+)
+
+# the Generator calls a round and calibration make, by name
+DIGEST_METHODS = {
+    "raw": lambda gen: gen.bit_generator.random_raw(8),
+    **{f"random_d{d}": (lambda gen, d=d: gen.random(d)) for d in (1, 50)},
+    **{f"normal_d{d}": (lambda gen, d=d: gen.normal(0.0, 1.0, size=d)) for d in (4, 10_000)},
+    **{
+        f"choice_shard{size}_batch{batch}": (
+            lambda gen, size=size, batch=batch: gen.choice(np.arange(size), batch, replace=False)
+        )
+        for size in (16, 250)
+        for batch in (1, 16)
+    },
+}
+
+
+def _draw_digests() -> dict:
+    """{method: SHA-256 over its draws from a fresh stream per DIGEST_KEYS key},
+    each draw as little-endian 8-byte words."""
+    digests = {}
+    for name, method in DIGEST_METHODS.items():
+        h = hashlib.sha256()
+        for key in DIGEST_KEYS:
+            draws = np.asarray(method(worker_stream(*key)))
+            h.update(draws.astype(draws.dtype.newbyteorder("<")).tobytes())
+        digests[name] = h.hexdigest()
+    return digests
 
 KEYS = [
     (0, 0, 0, LANE_SAMPLE),
@@ -106,3 +153,32 @@ def test_out_of_range_field_raises_and_leaves_into_untouched(args):
     for name in ("buffer_pos", "has_uint32", "uinteger"):
         assert after[name] == before[name]
 
+
+def test_draws_match_the_committed_digests():
+    pinned = json.loads(DRAW_DIGEST.read_text())
+    assert pinned["stream_format"] == STREAM_FORMAT, (
+        f"{DRAW_DIGEST.name} pins stream_format {pinned['stream_format']}, the code is at "
+        f"{STREAM_FORMAT}: rewrite the file by running {Path(__file__).name} as a script"
+    )
+    digests = _draw_digests()
+    assert digests.keys() == pinned["digests"].keys()
+    for name, digest in digests.items():
+        assert digest == pinned["digests"][name], (
+            f"the {name} draws no longer match {DRAW_DIGEST.name} (pinned with numpy "
+            f"{pinned['numpy']}, running {np.__version__}): if the draw layout changed on "
+            "purpose, bump STREAM_FORMAT and rewrite the file; otherwise pin numpy to a "
+            "version that draws the pinned values"
+        )
+
+
+if __name__ == "__main__":
+    DRAW_DIGEST.parent.mkdir(exist_ok=True)
+    record = {
+        "stream_format": STREAM_FORMAT,
+        "numpy": np.__version__,
+        "keys": "(seed, worker, iteration, lane) with seed in {0, 2**64-1}, worker in "
+        "{0, 2**24-1}, iteration in {0, 2**32-1} and lane in {0, 2}; a fresh stream per "
+        "key and method",
+        "digests": _draw_digests(),
+    }
+    DRAW_DIGEST.write_text(json.dumps(record, indent=1) + "\n")

@@ -8,15 +8,17 @@ source tree before and after it, then compares the two files:
     python3 tools/transcript_grid.py compare old.json new.json
 
 `hash` imports dqsim from the given src directory, runs every config of the
-grid, and writes {config id: {"trajectory": SHA-256, "report": SHA-256}} as
-JSON.  The trajectory hash covers the run's trace CSV, x_final, final_loss,
-final_gap, measured sigma (and its per-worker values) and whether it
-diverged; a run that diverges is hashed from its partial trace and has no
-report (null).  The report hash covers theory_report_for(trace).to_dict().
-`compare` lists each config whose trajectory or report differs, prints the
-two counts apart, so that a change which moves only theory constants shows
-its trajectories unchanged, and exits 1 if anything differs or is missing on
-one side.
+grid, and writes {config id: {"trajectory": SHA-256, "report": SHA-256,
+"report_values": dict}} as JSON.  The trajectory hash covers the run's trace
+CSV, x_final, final_loss, final_gap, measured sigma (and its per-worker
+values) and whether it diverged; a run that diverges is hashed from its
+partial trace and has no report (null).  The report hash covers
+theory_report_for(trace).to_dict(), which report_values holds as it is.
+`compare` lists each config whose trajectory or report differs, and under
+each differing report the fields that differ with their largest relative
+difference.  It prints the two counts apart, so that a change which moves
+only theory constants shows its trajectories unchanged, and exits 1 if
+anything differs or is missing on one side.
 
 The hashes depend on the BLAS build and the CPU, so only files made on one
 machine compare; the grid is not part of the test suite for that reason.
@@ -33,6 +35,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import argparse  # noqa: E402
 import hashlib  # noqa: E402
 import json  # noqa: E402
+import math  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
 from pathlib import Path  # noqa: E402
@@ -164,12 +167,38 @@ def _digests(sim, trace) -> dict:
         trace.x_final.tobytes(),
         json.dumps(summary, sort_keys=True).encode(),
     )
-    report = None
+    report = values = None
     if not trace.diverged:
-        report = _sha256(
-            json.dumps(sim.theory_report_for(trace).to_dict(), sort_keys=True).encode()
-        )
-    return {"trajectory": trajectory, "report": report}
+        values = sim.theory_report_for(trace).to_dict()
+        report = _sha256(json.dumps(values, sort_keys=True).encode())
+    return {"trajectory": trajectory, "report": report, "report_values": values}
+
+
+def _relative_difference(x, y) -> float:
+    """Largest relative difference between two report values, each a number,
+    a bool, None or a list of numbers: inf where they differ in kind or
+    length, or one is not a finite number."""
+    xs, ys = (v if isinstance(v, list) else [v] for v in (x, y))
+    if len(xs) != len(ys):
+        return math.inf
+    worst = 0.0
+    for u, v in zip(xs, ys):
+        if u == v or (u != u and v != v):  # equal, or both NaN
+            continue
+        numbers = (isinstance(w, (int, float)) and not isinstance(w, bool) for w in (u, v))
+        if not all(numbers) or not (math.isfinite(u) and math.isfinite(v)):
+            return math.inf
+        worst = max(worst, abs(u - v) / max(abs(u), abs(v)))
+    return worst
+
+
+def _report_differences(a, b) -> dict:
+    """{field: largest relative difference} over the fields where two
+    reports' values differ; {} when either side recorded none."""
+    if not (isinstance(a, dict) and isinstance(b, dict)):
+        return {}
+    moved = {f: _relative_difference(a.get(f), b.get(f)) for f in sorted(a.keys() | b.keys())}
+    return {f: rel for f, rel in moved.items() if rel != 0.0}
 
 
 def hash_grid(src: Path, out: Path) -> None:
@@ -199,6 +228,10 @@ def compare(a: Path, b: Path) -> int:
     for part, keys in differ.items():
         for key in keys:
             print(f"{part} differs: {key}")
+            if part == "report":
+                values = [side[key].get("report_values") for side in (left, right)]
+                for field, rel in _report_differences(*values).items():
+                    print(f"    {field}: largest relative difference {rel:.3g}")
     for key in missing:
         print(f"only in {a if key in left else b}: {key}")
     print(

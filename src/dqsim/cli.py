@@ -7,14 +7,17 @@ Every output directory receives the exact config text, the seeds, and a
 tool-version stamp, so any artifact can be replayed bit for bit.
 
 Verbs: run (single trace), compare (paired fixed-vs-dynamic arms calibrated
-to one quantization budget), sweep (grid over widths or schedule kinds),
-and verify (the self-contained analytical check suites).  Exit codes:
+to one quantization budget, over its --seeds range; it takes no --seed),
+sweep (grid over widths or schedule kinds), and verify (the analytical check
+suites).  A summary.csv row holds a label's mean final loss, gap and bits;
+compare writes one per fixed width and one for the dynamic arm.  Exit codes:
 0 success, 1 usage/config error, 2 divergence, 3 verification failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import collections
 import ctypes
 import dataclasses
 import json
@@ -319,46 +322,94 @@ def defaults_table() -> str:
 
 
 # ---------------------------------------------------------------------------
-# summaries
+# experiments: labelled runs over seeds, and their summaries
 # ---------------------------------------------------------------------------
-
-SUMMARY_HEADER = "schedule,final_loss,final_gap,cum_bits,bits_vs_32bit_ratio"
-
-
-def _full_precision_bits(config: RunConfig, d: int) -> int:
-    return config.W * config.T * (32 * d + config.b_pre)
-
-
-def _summary_row(label, final_loss, final_gap, cum_bits, reference_bits) -> str:
-    gap = "" if final_gap is None else f"{final_gap:.17g}"
-    ratio = cum_bits / reference_bits
-    return f"{label},{final_loss:.17g},{gap},{cum_bits:.17g},{ratio:.17g}"
 
 
 def emit_summary(traces: list[RunTrace], labels: list[str] | None = None) -> str:
-    """One CSV row per trace: loss, gap, bits, and cost relative to an
-    uncompressed 32-bit schedule of the same shape."""
+    """One CSV row per label: loss, gap, bits, and cost relative to an
+    uncompressed 32-bit schedule of the same shape.  A label that repeats (a
+    compare's arm over its seeds) gets one row of means over its traces, at
+    its first appearance.  A trace is a RunTrace, or any record with its
+    config, final_loss, final_gap and total_bits."""
     if not traces:
         raise ValueError("no traces to summarize")
-    labels = labels or [t.config.schedule.kind for t in traces]
-    lines = [SUMMARY_HEADER]
-    for label, trace in zip(labels, traces):
-        d = build_objective(trace.config.objective).d
-        lines.append(
-            _summary_row(
-                label,
-                trace.final_loss,
-                trace.final_gap,
-                float(trace.total_bits),
-                _full_precision_bits(trace.config, d),
-            )
-        )
+    groups: dict[str, list] = {}
+    for label, trace in zip(labels or [t.config.schedule.kind for t in traces], traces):
+        groups.setdefault(label, []).append(trace)
+    lines = ["schedule,final_loss,final_gap,cum_bits,bits_vs_32bit_ratio"]
+    for label, group in groups.items():
+        config = group[0].config
+        reference = config.W * config.T * (32 * build_objective(config.objective).d + config.b_pre)
+        gaps = [t.final_gap for t in group]
+        gap = "" if None in gaps else f"{np.mean(gaps):.17g}"
+        loss = np.mean([t.final_loss for t in group])
+        bits = np.mean([t.total_bits for t in group], dtype=np.float64)
+        lines.append(f"{label},{loss:.17g},{gap},{bits:.17g},{bits / reference:.17g}")
     return "\n".join(lines) + "\n"
 
 
-# ---------------------------------------------------------------------------
-# comparison engine
-# ---------------------------------------------------------------------------
+# what a summary keeps of a finished run: no per-round column, no x_final
+_Outcome = collections.namedtuple("_Outcome", "label config final_loss final_gap total_bits")
+
+
+def _labelled_runs(spec: ExperimentSpec, seed: int):
+    """The labelled runs an experiment makes at one seed, each yielded as it
+    finishes: a single run, a sweep's entries, or a compare's fixed arm and
+    then its dynamic arm.  dynamic-to-fixed calibration hands the fixed arm's
+    realized quantization-noise budget to the dynamic arm; fixed-to-dynamic
+    runs the dynamic arm first and gives the fixed arm the smallest width that
+    meets its budget on the realized norm history; none runs both as set."""
+    cfg = spec.run.with_seed(seed)
+
+    def fixed(bits: int) -> RunConfig:
+        return dataclasses.replace(cfg, schedule=ScheduleSpec(kind="fixed", bits=bits))
+
+    def rescheduled(**changes) -> RunConfig:
+        return dataclasses.replace(cfg, schedule=dataclasses.replace(cfg.schedule, **changes))
+
+    if spec.kind == "single":
+        yield cfg.schedule.kind, run(cfg)
+        return
+    if spec.kind == "sweep" and spec.sweep == "bits":
+        for b in spec.sweep_bits:
+            yield f"b{b}", run(fixed(b))
+        return
+    if spec.kind == "sweep":
+        for kind in spec.sweep_schedules:
+            bits = 2 if kind == "ternary" else cfg.schedule.bits
+            yield kind, run(rescheduled(kind=kind, bits=bits))
+        return
+    obj = build_objective(cfg.objective)
+    L, mu = obj.constants()
+    alpha = alpha_closed_form(cfg.eta, L, mu)
+    if spec.calibration == "fixed-to-dynamic":
+        dyn = run(rescheduled(kind="dynamic"))
+        eps_q_hat = quantization_budget(dyn.config.schedule, cfg.W, obj.d, cfg.eta, L)
+        fixed_arm = run(fixed(fixed_bits_for_budget(dyn.gbar, alpha, eps_q_hat)))
+    elif spec.calibration == "dynamic-to-fixed":
+        fixed_arm = run(fixed(spec.compare_fixed_bits))
+        budget = budget_satisfaction(fixed_arm.bits, fixed_arm.gbar, alpha)
+        dyn = run(rescheduled(kind="dynamic", eps_q_hat=budget))
+    else:
+        fixed_arm, dyn = run(fixed(spec.compare_fixed_bits)), run(cfg)
+    yield f"fixed-{fixed_arm.config.schedule.bits}", fixed_arm
+    yield "dynamic", dyn
+
+
+def _experiment(spec: ExperimentSpec, on_trace=None) -> list[_Outcome]:
+    """The outcome of every run of a compare over its seed range, or of a run
+    or sweep at [run] seed, in order.  on_trace(label, trace) sees each trace
+    as it finishes; only its outcome is kept, so that no seed's traces
+    outlive the next seed's runs."""
+    first, last = spec.seeds if spec.kind == "compare" else (spec.run.seed,) * 2
+    outcomes = []
+    for seed in range(first, last + 1):
+        for label, t in _labelled_runs(spec, seed):
+            if on_trace is not None:
+                on_trace(label, t)
+            outcomes.append(_Outcome(label, t.config, t.final_loss, t.final_gap, t.total_bits))
+    return outcomes
 
 
 @dataclass
@@ -376,101 +427,47 @@ class ComparisonSummary:
     def n(self) -> int:
         return len(self.seeds)
 
-    def loss_diff_mean(self) -> float:
-        return float(np.mean(self.dynamic_loss - self.fixed_loss))
-
-    def loss_diff_se(self) -> float:
-        diff = self.dynamic_loss - self.fixed_loss
-        return float(diff.std(ddof=1) / math.sqrt(self.n)) if self.n > 1 else 0.0
-
-    def bits_ci(self, which: str) -> tuple[float, float]:
-        arr = self.dynamic_total_bits if which == "dynamic" else self.fixed_total_bits
-        mean = float(arr.mean())
-        half = 1.96 * float(arr.std(ddof=1) / math.sqrt(self.n)) if self.n > 1 else 0.0
-        return mean - half, mean + half
-
-    def win_fraction(self) -> float:
-        return float(np.mean(self.dynamic_total_bits <= self.fixed_total_bits))
-
-    def bits_saving(self) -> float:
-        """Relative communication saving of the dynamic arm (mean bits)."""
-        return 1.0 - float(self.dynamic_total_bits.mean() / self.fixed_total_bits.mean())
-
     def to_dict(self) -> dict:
-        dyn_lo, dyn_hi = self.bits_ci("dynamic")
-        fix_lo, fix_hi = self.bits_ci("fixed")
+        """Means per arm, the paired loss difference and its standard error,
+        95% intervals on mean bits, and the dynamic arm's saving and wins."""
+        diff = self.dynamic_loss - self.fixed_loss
+        fixed, dynamic = self.fixed_total_bits, self.dynamic_total_bits
+
+        def se(arr: np.ndarray) -> float:
+            return float(arr.std(ddof=1) / math.sqrt(self.n)) if self.n > 1 else 0.0
+
+        def ci95(arr: np.ndarray) -> list:
+            return [float(arr.mean()) - 1.96 * se(arr), float(arr.mean()) + 1.96 * se(arr)]
+
         return {
             "n_seeds": self.n,
             "fixed_bits_per_round": self.fixed_bits,
             "loss_mean_fixed": float(self.fixed_loss.mean()),
             "loss_mean_dynamic": float(self.dynamic_loss.mean()),
-            "loss_diff_mean": self.loss_diff_mean(),
-            "loss_diff_se": self.loss_diff_se(),
-            "bits_mean_fixed": float(self.fixed_total_bits.mean()),
-            "bits_mean_dynamic": float(self.dynamic_total_bits.mean()),
-            "bits_ci95_fixed": [fix_lo, fix_hi],
-            "bits_ci95_dynamic": [dyn_lo, dyn_hi],
-            "bits_saving": self.bits_saving(),
-            "win_fraction": self.win_fraction(),
+            "loss_diff_mean": float(np.mean(diff)),
+            "loss_diff_se": se(diff),
+            "bits_mean_fixed": float(fixed.mean()),
+            "bits_mean_dynamic": float(dynamic.mean()),
+            "bits_ci95_fixed": ci95(fixed),
+            "bits_ci95_dynamic": ci95(dynamic),
+            "bits_saving": 1.0 - float(dynamic.mean() / fixed.mean()),
+            "win_fraction": float(np.mean(dynamic <= fixed)),
         }
 
 
-def run_comparison(spec: ExperimentSpec) -> ComparisonSummary:
-    """Paired fixed-vs-dynamic runs over the spec's seed range.
-
-    dynamic-to-fixed calibration runs the fixed arm first and hands its
-    realized quantization-noise budget to the dynamic schedule;
-    fixed-to-dynamic runs the dynamic arm at its configured budget and picks
-    the smallest constant width meeting that budget on the realized norm
-    history; none runs both arms exactly as configured.
-    """
-    base = spec.run
-    obj = build_objective(base.objective)
-    L, mu = obj.constants()
-    alpha = alpha_closed_form(base.eta, L, mu)
-    seeds = list(range(spec.seeds[0], spec.seeds[1] + 1))
-
-    fixed_bits_used: list[int] = []
-    fixed_loss, dyn_loss, fixed_bits_tot, dyn_bits_tot = [], [], [], []
-    for seed in seeds:
-        cfg = base.with_seed(seed)
-        if spec.calibration == "fixed-to-dynamic":
-            dyn_sched = dataclasses.replace(cfg.schedule, kind="dynamic")
-            dyn = run(dataclasses.replace(cfg, schedule=dyn_sched))
-            eps_q_hat = quantization_budget(dyn_sched, cfg.W, obj.d, cfg.eta, L)
-            b_fixed = fixed_bits_for_budget(dyn.gbar, alpha, eps_q_hat)
-            fixed = run(
-                dataclasses.replace(
-                    cfg, schedule=ScheduleSpec(kind="fixed", bits=b_fixed)
-                )
-            )
-        else:
-            b_fixed = spec.compare_fixed_bits
-            fixed = run(
-                dataclasses.replace(
-                    cfg, schedule=ScheduleSpec(kind="fixed", bits=b_fixed)
-                )
-            )
-            sched = cfg.schedule
-            if spec.calibration == "dynamic-to-fixed":
-                budget = budget_satisfaction(fixed.bits, fixed.gbar, alpha)
-                sched = dataclasses.replace(sched, kind="dynamic", eps_q_hat=budget)
-            dyn = run(dataclasses.replace(cfg, schedule=sched))
-
-        fixed_bits_used.append(b_fixed)
-        fixed_loss.append(fixed.final_loss)
-        dyn_loss.append(dyn.final_loss)
-        fixed_bits_tot.append(fixed.total_bits)
-        dyn_bits_tot.append(dyn.total_bits)
-
+def _paired(outcomes: list[_Outcome]) -> ComparisonSummary:
+    """A compare's outcomes, a fixed and then a dynamic arm per seed, paired."""
+    fixed, dynamic = outcomes[0::2], outcomes[1::2]
     return ComparisonSummary(
-        fixed_bits=fixed_bits_used,
-        seeds=seeds,
-        fixed_loss=np.asarray(fixed_loss),
-        dynamic_loss=np.asarray(dyn_loss),
-        fixed_total_bits=np.asarray(fixed_bits_tot, dtype=np.float64),
-        dynamic_total_bits=np.asarray(dyn_bits_tot, dtype=np.float64),
+        [o.config.schedule.bits for o in fixed], [o.config.seed for o in fixed],
+        *(np.array([o.final_loss for o in arm]) for arm in (fixed, dynamic)),
+        *(np.array([o.total_bits for o in arm], dtype=np.float64) for arm in (fixed, dynamic)),
     )
+
+
+def run_comparison(spec: ExperimentSpec) -> ComparisonSummary:
+    """Paired fixed-vs-dynamic runs over the spec's seed range (see _labelled_runs)."""
+    return _paired(_experiment(spec))
 
 
 # ---------------------------------------------------------------------------
@@ -540,71 +537,29 @@ def _emit_trace(out: Path, name: str, trace: RunTrace, formats) -> None:
     write_trace(trace, csv_path, json_path, report)
 
 
-def _do_single(spec: ExperimentSpec, out: Path) -> int:
-    trace = run(spec.run)
-    _emit_trace(out, "trace", trace, spec.formats)
-    (out / "summary.csv").write_text(emit_summary([trace]))
-    print(f"run complete: final loss {trace.final_loss:.6g}, "
-          f"{trace.total_bits} bits, artifacts in {out}")
-    return EXIT_OK
+def _do_experiment(spec: ExperimentSpec, out: Path) -> int:
+    """A run, a compare or a sweep: the trace of a run, and of each sweep
+    entry in its own directory, is written as it finishes."""
 
+    def write(label: str, trace: RunTrace) -> None:
+        entry = out / label if spec.kind == "sweep" else out
+        entry.mkdir(exist_ok=True)
+        _emit_trace(entry, "trace", trace, spec.formats)
 
-def _do_compare(spec: ExperimentSpec, out: Path) -> int:
-    summary = run_comparison(spec)
-    stats = summary.to_dict()
-    (out / "compare.json").write_text(json.dumps(stats, indent=2) + "\n")
-    d = build_objective(spec.run.objective).d
-    ref = _full_precision_bits(spec.run, d)
-    rows = [SUMMARY_HEADER]
-    rows.append(
-        _summary_row(
-            f"fixed-{summary.fixed_bits[0]}",
-            stats["loss_mean_fixed"],
-            None,
-            stats["bits_mean_fixed"],
-            ref,
-        )
-    )
-    rows.append(
-        _summary_row(
-            "dynamic", stats["loss_mean_dynamic"], None, stats["bits_mean_dynamic"], ref
-        )
-    )
-    (out / "summary.csv").write_text("\n".join(rows) + "\n")
-    print(
-        f"compare complete over {summary.n} seeds: "
-        f"loss diff {stats['loss_diff_mean']:.3g} +/- {stats['loss_diff_se']:.3g}, "
-        f"bits saving {100 * stats['bits_saving']:.1f}%, "
-        f"win fraction {stats['win_fraction']:.2f}"
-    )
-    return EXIT_OK
-
-
-def _sweep_entries(spec: ExperimentSpec):
-    if spec.sweep == "bits":
-        for b in spec.sweep_bits:
-            yield f"b{b}", dataclasses.replace(
-                spec.run, schedule=ScheduleSpec(kind="fixed", bits=b)
-            )
+    outcomes = _experiment(spec, None if spec.kind == "compare" else write)
+    (out / "summary.csv").write_text(emit_summary(outcomes, [o.label for o in outcomes]))
+    if spec.kind == "single":
+        print(f"run complete: final loss {outcomes[0].final_loss:.6g}, "
+              f"{outcomes[0].total_bits} bits, artifacts in {out}")
+    elif spec.kind == "sweep":
+        print(f"sweep complete: {len(outcomes)} settings, artifacts in {out}")
     else:
-        for kind in spec.sweep_schedules:
-            sched = dataclasses.replace(spec.run.schedule, kind=kind)
-            if kind == "ternary":
-                sched = dataclasses.replace(sched, bits=2)
-            yield kind, dataclasses.replace(spec.run, schedule=sched)
-
-
-def _do_sweep(spec: ExperimentSpec, out: Path) -> int:
-    traces, labels = [], []
-    for label, cfg in _sweep_entries(spec):
-        entry_dir = out / label
-        entry_dir.mkdir(parents=True, exist_ok=True)
-        trace = run(cfg)
-        _emit_trace(entry_dir, "trace", trace, spec.formats)
-        traces.append(trace)
-        labels.append(label)
-    (out / "summary.csv").write_text(emit_summary(traces, labels))
-    print(f"sweep complete: {len(traces)} settings, artifacts in {out}")
+        stats = _paired(outcomes).to_dict()
+        (out / "compare.json").write_text(json.dumps(stats, indent=2) + "\n")
+        print(f"compare complete over {stats['n_seeds']} seeds: "
+              f"loss diff {stats['loss_diff_mean']:.3g} +/- {stats['loss_diff_se']:.3g}, "
+              f"bits saving {100 * stats['bits_saving']:.1f}%, "
+              f"win fraction {stats['win_fraction']:.2f}")
     return EXIT_OK
 
 
@@ -633,13 +588,9 @@ def run_experiment(
     out = Path(out_dir)
     _write_manifest(out, spec, config_text or format_config(spec), command)
     try:
-        if spec.kind == "single":
-            return _do_single(spec, out)
-        if spec.kind == "compare":
-            return _do_compare(spec, out)
-        if spec.kind == "sweep":
-            return _do_sweep(spec, out)
-        return _do_verify(spec, out)
+        if spec.kind == "verify":
+            return _do_verify(spec, out)
+        return _do_experiment(spec, out)
     except SpecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -692,21 +643,20 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def common(p, needs_config=True):
-        if needs_config:
-            p.add_argument("--config", required=True, help="config file path")
+    def common(verb: str, help: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(verb, help=help)
+        p.add_argument("--config", required=True, help="config file path")
         p.add_argument("--out", required=True, help="artifact directory")
-        p.add_argument("--seed", type=_parse_seed, help="override the run seed")
-        p.add_argument(
-            "--format", type=_parse_formats, help="comma-separated subset of csv,json"
-        )
+        p.add_argument("--format", type=_parse_formats, help="comma-separated subset of csv,json")
+        return p
 
-    common(sub.add_parser("run", help="single run, emit trace + theory report"))
-    pc = sub.add_parser("compare", help="paired fixed-vs-dynamic comparison")
-    common(pc)
-    pc.add_argument("--seeds", type=_parse_seed_range, help="seed range like 0..49")
-    ps = sub.add_parser("sweep", help="grid over widths or schedule kinds")
-    common(ps)
+    seed = {"type": _parse_seed, "help": "override the run seed"}
+    common("run", "single run, emit trace + theory report").add_argument("--seed", **seed)
+    # compare runs its seed range: there is no one run seed to override
+    common("compare", "paired fixed-vs-dynamic comparison").add_argument(
+        "--seeds", type=_parse_seed_range, help="seed range like 0..49"
+    )
+    common("sweep", "grid over widths or schedule kinds").add_argument("--seed", **seed)
     pv = sub.add_parser("verify", help="analytical verification suites")
     pv.add_argument("check", choices=sorted(VERIFIERS))
     pv.add_argument("--out", help="artifact directory (optional)")
@@ -761,10 +711,9 @@ def main(argv: list[str] | None = None) -> int:
         overrides["seeds"] = args.seeds
     if args.format:
         overrides["formats"] = args.format
-    if args.seed is not None:
+    if getattr(args, "seed", None) is not None:
         overrides["run"] = spec.run.with_seed(args.seed)
-    if overrides:
-        spec = dataclasses.replace(spec, **overrides)
+    spec = dataclasses.replace(spec, **overrides)
 
     command = "dqsim " + " ".join(argv)
     return run_experiment(spec, args.out, config_text=text, command=command)

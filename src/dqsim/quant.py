@@ -20,6 +20,7 @@ safe to run concurrently with distinct streams.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,7 +53,8 @@ class CorruptionError(ValueError):
 
 class WireRangeError(ValueError):
     """A gradient the wire cannot carry: a non-finite coordinate, or a norm
-    or scale beyond the b_pre-bit float."""
+    or scale beyond the b_pre-bit float or too large to square (see
+    _wire_norms)."""
 
 
 def lp_norm(values: np.ndarray, p: float) -> float:
@@ -170,7 +172,11 @@ def _wire_norms(norms: np.ndarray, b_pre: int) -> np.ndarray:
     # encode) keeps the in-memory object identical to its wire round-trip.
     if b_pre == 32:
         norms = norms.astype(np.float32).astype(np.float64)
-    if not np.isfinite(norms).all():
+    # The receiver squares each of a round's W norms and sums the squares
+    # (gbar), and quantize multiplies each |g_j| <= norm by s < 2**31.  A norm
+    # whose square is at most half the float64 range over W keeps both
+    # finite, with room for their rounding; NaN and inf fail the test too.
+    if not (norms <= math.sqrt(sys.float_info.max / (2 * norms.size))).all():
         raise WireRangeError("gradient norm overflows the wire precision")
     return norms
 

@@ -456,6 +456,15 @@ def _overlapped(config: RunConfig, obj) -> bool:
     )
 
 
+def _unwarned(evaluate, point: np.ndarray):
+    """evaluate(point) with numpy's overflow and invalid-value warnings off:
+    the divergence guard checks the loss it returns, and a non-finite one
+    ends the run.  Entered on whichever thread evaluates, as numpy's error
+    state is per thread."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return evaluate(point)
+
+
 def run(config: RunConfig, _worker_order=None) -> RunTrace:
     """Execute T synchronous rounds of quantized distributed SGD.
 
@@ -526,9 +535,9 @@ def run(config: RunConfig, _worker_order=None) -> RunTrace:
         threads.
         """
         if pool is None:
-            value = obj.loss_and_gradient(point)
+            value = _unwarned(obj.loss_and_gradient, point)
             return lambda: value
-        return pool.submit(obj.loss_and_gradient, point).result
+        return pool.submit(_unwarned, obj.loss_and_gradient, point).result
 
     def checked(t: int, join):
         f_t, exact = join()
@@ -597,7 +606,8 @@ def run(config: RunConfig, _worker_order=None) -> RunTrace:
                 raise
             f_t, exact = checked(t, join)
             grad_norm = float(np.linalg.norm(exact))
-            x = x - eta * mean
+            with np.errstate(over="ignore"):  # the guard checks the loss at the new x
+                x = x - eta * mean
 
             round_bits = W * (d * b + config.b_pre)
             cum_bits += round_bits
@@ -611,7 +621,7 @@ def run(config: RunConfig, _worker_order=None) -> RunTrace:
 
             b = schedule.update(t, f_t, gbar)
 
-    final_loss = obj.loss(x)
+    final_loss = _unwarned(obj.loss, x)
     if not np.isfinite(final_loss) or final_loss > guard:
         raise DivergenceError(
             f"final loss {final_loss} tripped the divergence guard",

@@ -413,6 +413,35 @@ def test_comparison_dynamic_to_fixed(tmp_path):
     assert (tmp_path / "cmp" / "summary.csv").read_text().startswith("schedule,")
 
 
+def test_compare_summary_has_one_mean_row_per_fixed_width(tmp_path):
+    # fixed-to-dynamic picks 2 bits on 15 of these seeds and 3 on 5; the
+    # summary used to label every fixed arm with seed 0's width, at the mean
+    # bits over all seeds, which no seed spent
+    text = (
+        "[experiment]\nkind = compare\ncalibration = fixed-to-dynamic\nseeds = [0, 19]\n"
+        "[oracle]\nsigma = 0.3\n[objective]\nd = 8\n[run]\nW = 4\nT = 40\n"
+        "[schedule]\nkind = dynamic\nepsilon = 0.003\ntau = 5\nalpha_source = closed_form\n"
+    )
+    spec = parse_config(text)
+    summary = run_comparison(spec)
+    assert sorted(summary.fixed_bits) == [2] * 15 + [3] * 5
+    assert run_experiment(spec, tmp_path / "cmp", config_text=text, command="t") == EXIT_OK
+    lines = (tmp_path / "cmp" / "summary.csv").read_text().splitlines()
+    rows = {line.split(",")[0]: [float(v) for v in line.split(",")[1:]] for line in lines[1:]}
+    assert lines[0] == "schedule,final_loss,final_gap,cum_bits,bits_vs_32bit_ratio"
+    assert [line.split(",")[0] for line in lines[1:]] == ["fixed-2", "dynamic", "fixed-3"]
+    for b in (2, 3):
+        used = np.array(summary.fixed_bits) == b
+        loss, gap, bits, ratio = rows[f"fixed-{b}"]
+        assert bits == 4 * 40 * (8 * b + 32)
+        assert ratio == bits / (4 * 40 * (32 * 8 + 32))
+        assert loss == np.mean(summary.fixed_loss[used])
+        assert gap == loss  # F* = 0 here, so the gap is the loss
+    stats = json.loads((tmp_path / "cmp" / "compare.json").read_text())
+    assert rows["dynamic"][0] == stats["loss_mean_dynamic"]
+    assert rows["dynamic"][2] == stats["bits_mean_dynamic"]
+
+
 def test_sweep_writes_per_entry_traces(tmp_path):
     text = MINIMAL + "\n[experiment]\nkind = sweep\nsweep_bits = [2, 3]\n"
     spec = parse_config(text)
@@ -461,9 +490,13 @@ def test_budget_out_of_float_range_is_a_usage_error(
     err = capsys.readouterr().err
     assert err.startswith("error: epsilon, gamma, eta: ") and "Traceback" not in err
     assert "quantization budget" in err and err.endswith(", got inf\n")
-    # a fixed schedule has no budget: it runs, or diverges at a huge eta
+    # a fixed schedule has no budget: it runs, or diverges at a huge eta,
+    # where the divergence exit prints no numpy warning
     cfg.write_text(text.format("fixed"))
-    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "fixed")]) == fixed_code
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "fixed")])
+    assert code == fixed_code
 
 
 @pytest.mark.parametrize("b_pre", [32, 64])
@@ -486,6 +519,25 @@ def test_gradient_beyond_the_wire_is_a_divergence(tmp_path, capsys, section, sch
     assert err == "error: gradient norm overflows the wire precision at iteration 0\n"
     assert (tmp_path / "o" / "diverged.csv").is_file()
     assert json.loads((tmp_path / "o" / "diverged.json").read_text())["final"]["diverged"]
+
+
+@pytest.mark.parametrize(
+    "sigma, p, bits", [("1e200", "1", 6), ("1e300", "inf", 32)], ids=["p1-b6", "pinf-b32"]
+)
+def test_norm_too_large_to_square_is_a_divergence(tmp_path, capsys, sigma, p, bits):
+    # each norm passed the float64 wire, then overflowed gbar's sum of squares
+    # in a traceback; at bits 32 the quantizer first warned of an overflow
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(
+        f"[oracle]\nsigma = {sigma}\n[run]\nT = 3\nW = 2\nb_pre = 64\np = {p}\n"
+        f"[schedule]\nkind = fixed\nbits = {bits}\n"
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert code == EXIT_DIVERGED
+    err = capsys.readouterr().err
+    assert err == "error: gradient norm overflows the wire precision at iteration 0\n"
 
 
 def test_main_verify_exit_codes(monkeypatch, tmp_path):
@@ -533,6 +585,21 @@ def test_verb_kind_mismatch_rejected(tmp_path):
     cfg = tmp_path / "c.cfg"
     cfg.write_text(MINIMAL + "\n[experiment]\nkind = sweep\n")
     assert main(["compare", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
+
+
+def test_compare_takes_seeds_not_seed(tmp_path):
+    # compare runs its --seeds range, so a --seed flag was accepted, ignored,
+    # and recorded in the manifest
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(MINIMAL + "\n[run]\nT = 5\nW = 2\n")
+    argv = ["--config", str(cfg), "--seed", "9"]
+    assert main(["compare", *argv, "--out", str(tmp_path / "c")]) == EXIT_USAGE
+    assert not (tmp_path / "c").exists()
+    for verb in ("run", "sweep"):
+        assert main([verb, *argv, "--out", str(tmp_path / verb)]) == EXIT_OK
+        assert json.loads((tmp_path / verb / "manifest.json").read_text())["seed"] == 9
+    trace = json.loads((tmp_path / "sweep" / "b2" / "trace.json").read_text())
+    assert trace["config"]["seed"] == 9
 
 
 def test_seed_range_flag(tmp_path):

@@ -1,6 +1,8 @@
 """Quantizer math: stochastic rounding, moments, baselines, norm statistics."""
 
 import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ import pytest
 from dqsim.quant import (
     QuantizerConfig,
     QuantizedGradient,
+    WireRangeError,
     dequantize,
     dequantized_draws,
     lp_norm,
@@ -164,6 +167,31 @@ def test_quantize_rejects_bad_input():
         quantize(np.array([1.0, np.nan]), QuantizerConfig(bits=2), rng_for(0))
     with pytest.raises(ValueError):
         quantize(np.array([1.0]), QuantizerConfig(bits=1), rng_for(0))
+
+
+@pytest.mark.parametrize("bits", [6, 32])
+@pytest.mark.parametrize("p", [1.0, math.inf])
+def test_norm_too_large_to_square_over_the_round_is_a_wire_range_error(p, bits):
+    # gbar squares the W norms of a round and sums them, and quantize scales
+    # each coordinate by s: a norm whose square reaches half the float64 range
+    # over W is refused, one at the limit goes through without a warning
+    W, d = 2, 3
+    limit = math.sqrt(sys.float_info.max / (2 * W))
+    cfg = QuantizerConfig(bits=bits, p=p, b_pre=64)
+    g = np.zeros((W, d))
+    g[1, 0] = -limit
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        q = quantize(g, cfg, np.full((W, d), 0.5))
+        assert q.norm.tolist() == [0.0, limit]
+        assert q.levels[1].tolist() == [cfg.levels, 0, 0]
+        g[1, 0] = -np.nextafter(limit, math.inf)
+        with pytest.raises(WireRangeError, match="norm overflows"):
+            quantize(g, cfg, np.full((W, d), 0.5))
+        # a frame alone has no other square to add: its limit is sqrt(2) wider
+        assert quantize(g[1], cfg, np.full(d, 0.5)).norm == -g[1, 0]
+        with pytest.raises(WireRangeError, match="norm overflows"):
+            quantize(g[1] * 2, cfg, np.full(d, 0.5))
 
 
 def test_sign_of_zero_is_positive():

@@ -1,8 +1,10 @@
 """Round loop: exactness witnesses, accounting, determinism, trace formats."""
 
+import dataclasses
 import json
 import math
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -343,6 +345,19 @@ def test_minibatch_divergence_trips_the_guard_on_both_paths(monkeypatch, callers
     assert trace_csv(overlapped) == trace_csv(serial)
     assert np.array_equal(overlapped.x_final, serial.x_final)
     assert overlapped.final_loss == serial.final_loss
+
+
+@pytest.mark.parametrize("entries", [SERIAL, OVERLAPPED], ids=["serial", "overlapped"])
+def test_overflowing_loss_trips_the_guard_without_a_warning(monkeypatch, callers, entries):
+    # x_1 is about 1e200, so x'x overflows in the full-data pass: numpy's
+    # error state is per thread, and the helper must set its own
+    monkeypatch.setattr(sim, "OVERLAP_ENTRIES", entries)
+    config = dataclasses.replace(diverging_minibatch_config(), eta=1e200)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(DivergenceError, match="loss inf at iteration 1 "):
+            run(config)
+    assert helper_ran(callers) == (entries == OVERLAPPED)
 
 
 @pytest.mark.parametrize("b_pre", [32, 64])

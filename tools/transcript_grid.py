@@ -14,6 +14,12 @@ CSV, x_final, final_loss, final_gap, measured sigma (and its per-worker
 values) and whether it diverged; a run that diverges is hashed from its
 partial trace and has no report (null).  The report hash covers
 theory_report_for(trace).to_dict(), which report_values holds as it is.
+The grid also holds a few experiments, each run through the public
+cli.run_experiment into a temporary directory: a compare under each
+calibration, a bits sweep and a schedule sweep.  An experiment's trajectory
+hash covers its exit code, compare.json and every sweep entry's trace.csv;
+its report hash covers summary.csv, whose rows report_values holds as
+{label: [final_loss, final_gap, cum_bits, bits_vs_32bit_ratio]}.
 `compare` lists each config whose trajectory or report differs, and under
 each differing report the fields that differ with their largest relative
 difference.  It prints the two counts apart, so that a change which moves
@@ -33,10 +39,14 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import argparse  # noqa: E402
+import contextlib  # noqa: E402
+import dataclasses  # noqa: E402
 import hashlib  # noqa: E402
+import io  # noqa: E402
 import json  # noqa: E402
 import math  # noqa: E402
 import sys  # noqa: E402
+import tempfile  # noqa: E402
 import time  # noqa: E402
 from pathlib import Path  # noqa: E402
 
@@ -147,6 +157,71 @@ def grid(sim) -> dict:
     return configs
 
 
+def experiments(cli, sim) -> dict:
+    """{experiment id: ExperimentSpec}: a compare under each calibration and a
+    sweep over each axis, at small T."""
+    iso8 = sim.RunConfig(
+        objective=sim.ObjectiveSpec(kind="quadratic-isotropic", d=8, lam=1.0),
+        oracle=sim.OracleSpec(kind="gaussian", sigma=0.3),
+        schedule=sim.ScheduleSpec(kind="dynamic", epsilon=0.003, tau=5, alpha_source="closed_form"),
+        W=4, T=T, eta=0.1,
+    )
+    dense = dataclasses.replace(
+        iso8,
+        objective=sim.ObjectiveSpec(kind="quadratic", d=DENSE_D, mu=1.0, L=4.0),
+        oracle=sim.OracleSpec(kind="gaussian", sigma=0.5),
+        schedule=sim.ScheduleSpec(kind="dynamic", tau=10, b0=6, alpha_source="closed_form"),
+    )
+    logistic = dataclasses.replace(
+        dense,
+        objective=sim.ObjectiveSpec(
+            kind="logistic", d=LOGISTIC_D[0], n=LOGISTIC_N, ridge=0.1, data_seed=11
+        ),
+        oracle=sim.OracleSpec(kind="minibatch", batch_size=8, calibration_draws=4),
+        eta=0.3, seed=7,
+    )
+    Spec = cli.ExperimentSpec
+    return {
+        # seeds 0..19 of iso8 under fixed-to-dynamic pick more than one width
+        "experiment/compare/fixed-to-dynamic/iso8": Spec(
+            kind="compare", calibration="fixed-to-dynamic", seeds=(0, 19), run=iso8
+        ),
+        "experiment/compare/none/iso8": Spec(
+            kind="compare", calibration="none", compare_fixed_bits=3, seeds=(0, 4), run=iso8
+        ),
+        f"experiment/compare/dynamic-to-fixed/dense{DENSE_D}": Spec(
+            kind="compare", calibration="dynamic-to-fixed", seeds=(2, 6), run=dense
+        ),
+        "experiment/sweep/bits/iso8": Spec(kind="sweep", sweep="bits", run=iso8),
+        f"experiment/sweep/schedule/logistic{LOGISTIC_D[0]}": Spec(
+            kind="sweep", sweep="schedule", run=logistic
+        ),
+    }
+
+
+def _summary_values(text: str) -> dict:
+    """summary.csv as {label: [final_loss, final_gap or None, cum_bits, ratio]}."""
+    rows = [line.split(",") for line in text.splitlines()[1:]]
+    return {label: [float(v) if v else None for v in rest] for label, *rest in rows}
+
+
+def _experiment_digests(cli, spec) -> dict:
+    with tempfile.TemporaryDirectory(prefix="dqsim-grid-") as tmp:
+        out = Path(tmp)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.run_experiment(spec, out, command="transcript_grid")
+        parts = [str(code).encode()]
+        for path in [out / "compare.json", *sorted(out.glob("*/trace.csv"))]:
+            if path.is_file():
+                parts += [str(path.relative_to(out)).encode(), path.read_bytes()]
+        summary = out / "summary.csv"
+        report = values = None
+        if summary.is_file():
+            values = _summary_values(summary.read_text())
+            report = _sha256(summary.read_bytes())
+    return {"trajectory": _sha256(*parts), "report": report, "report_values": values}
+
+
 def _sha256(*parts: bytes) -> str:
     h = hashlib.sha256()
     for part in parts:
@@ -203,7 +278,7 @@ def _report_differences(a, b) -> dict:
 
 def hash_grid(src: Path, out: Path) -> None:
     sys.path.insert(0, str(src.resolve()))
-    from dqsim import sim
+    from dqsim import cli, sim
 
     start = time.perf_counter()
     hashes = {}
@@ -213,6 +288,8 @@ def hash_grid(src: Path, out: Path) -> None:
         except sim.DivergenceError as err:
             trace = err.trace
         hashes[key] = _digests(sim, trace)
+    for key, spec in experiments(cli, sim).items():
+        hashes[key] = _experiment_digests(cli, spec)
     out.write_text(json.dumps(hashes, indent=1, sort_keys=True) + "\n")
     print(f"{len(hashes)} configs hashed in {time.perf_counter() - start:.1f} s -> {out}")
 
